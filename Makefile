@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test race bench bench-compile repro fuzz fuzz-smoke examples clean
 .PHONY: attestd attest-agent attest-loadgen flood-net bench-transport bench-server bench-quiescent bench-swarm bench-cluster metrics-smoke
-.PHONY: cover chaos-smoke cluster-smoke persist-smoke bench-persist admin-smoke bench-tiers
+.PHONY: cover chaos-smoke cluster-smoke persist-smoke bench-persist admin-smoke bench-tiers bench-unit
 
 all: build vet test
 
@@ -33,6 +33,13 @@ bench:
 # code without paying for a full measurement pass (CI runs this).
 bench-compile:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# Vet and unit-test the end-to-end benchmark under bench/. It is its own
+# Go module, so the root `go test ./...` does not build it; this catches a
+# transport, protocol or agent API change that would break bench/run.sh.
+# -short skips its smoke test, which builds attestd and runs every workload.
+bench-unit:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Regenerate every paper artifact and the attack campaigns.
 repro:

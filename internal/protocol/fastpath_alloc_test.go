@@ -17,23 +17,7 @@ func fastRig(t *testing.T) (*Verifier, *FastResponder) {
 
 func fastRigKeyed(t *testing.T) (*Verifier, *FastResponder, []byte) {
 	t.Helper()
-	key := []byte("0123456789abcdef0123")
-	golden := make([]byte, 4096)
-	for i := range golden {
-		golden[i] = byte(i)
-	}
-	v, err := NewVerifier(VerifierConfig{
-		Freshness:     FreshCounter,
-		Auth:          NewHMACAuth(key),
-		AttestKey:     key,
-		Golden:        golden,
-		AllowFastPath: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFastResponder(key, golden)
-
+	v, fr, key := fastPair(t)
 	req, err := v.NewRequest()
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +36,28 @@ func fastRigKeyed(t *testing.T) (*Verifier, *FastResponder, []byte) {
 		t.Fatal("verified full measurement did not arm the verifier's fast state")
 	}
 	return v, fr, key
+}
+
+// fastPair builds a fast-path verifier and a responder over the same key
+// and golden image, neither armed yet.
+func fastPair(t *testing.T) (*Verifier, *FastResponder, []byte) {
+	t.Helper()
+	key := []byte("0123456789abcdef0123")
+	golden := make([]byte, 4096)
+	for i := range golden {
+		golden[i] = byte(i)
+	}
+	v, err := NewVerifier(VerifierConfig{
+		Freshness:     FreshCounter,
+		Auth:          NewHMACAuth(key),
+		AttestKey:     key,
+		Golden:        golden,
+		AllowFastPath: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, NewFastResponder(key, golden), key
 }
 
 func TestFastRoundTrip(t *testing.T) {
@@ -74,6 +80,61 @@ func TestFastRoundTrip(t *testing.T) {
 	}
 	if v.FastAccepted != 3 || v.Rejected != 0 {
 		t.Fatalf("FastAccepted = %d Rejected = %d, want 3, 0", v.FastAccepted, v.Rejected)
+	}
+}
+
+// TestFastWithheldWhileFullPending: fast permission binds a request to
+// the last verified full digest, but an in-order prover re-arms on every
+// full measurement it makes. So a request issued while a newer
+// full-measurement request is still outstanding must demand the full MAC
+// as well; granting it fast permission bound it to a digest the honest
+// prover had already replaced, and its fast answer was refused as a
+// mismatch. A full request older than the verified one holds nothing: the
+// prover dropped it.
+func TestFastWithheldWhileFullPending(t *testing.T) {
+	v, fr, _ := fastPair(t)
+	newReq := func() *AttReq {
+		t.Helper()
+		req, err := v.NewRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	answer := func(req *AttReq) (fast bool) {
+		t.Helper()
+		var resp AttResp
+		fast = fr.RespondInto(req, &resp)
+		if ok, err := v.CheckDecodedResponse(&resp); !ok {
+			t.Fatalf("honest in-order answer to nonce %d refused: %v", req.Nonce, err)
+		}
+		return fast
+	}
+
+	req1, req2 := newReq(), newReq()
+	answer(req1) // arms the verifier; req2 is still outstanding
+	req3 := newReq()
+	if req3.AllowFast {
+		t.Fatal("fast permission granted while a full-measurement request is outstanding")
+	}
+	answer(req2)
+	if answer(req3) {
+		t.Fatal("responder answered a full-measurement request fast")
+	}
+	if req4 := newReq(); !req4.AllowFast || !answer(req4) {
+		t.Fatal("fast path not granted once every full-measurement request was answered")
+	}
+
+	// A full request the prover dropped (here, never delivered) is older
+	// than the measurement that re-arms the record, so it holds nothing.
+	v.DropFastState()
+	newReq() // dropped
+	answer(newReq())
+	if !newReq().AllowFast {
+		t.Fatal("fast permission withheld for a full request older than the verified one")
+	}
+	if v.FastAccepted != 1 || v.Rejected != 0 {
+		t.Fatalf("FastAccepted = %d Rejected = %d, want 1, 0", v.FastAccepted, v.Rejected)
 	}
 }
 

@@ -35,6 +35,17 @@ type Verifier struct {
 	fastDigest [sha1.Size]byte
 	haveFast   bool
 
+	// armedBy is the nonce of the request whose full measurement set the
+	// record above, lastFull the nonce of the newest request issued
+	// without fast permission. The prover answers in order and re-arms on
+	// every full measurement, so once a full request newer than armedBy is
+	// out, the record may not be the digest the prover holds when it
+	// reaches a request issued now: fast permission waits until the
+	// newest full request's measurement is the one verified. Older full
+	// requests do not count: over an in-order channel their answers would
+	// have come first, so the prover dropped them.
+	armedBy, lastFull uint64
+
 	// Stats for scenario reporting.
 	Issued       uint64
 	Accepted     uint64
@@ -110,16 +121,16 @@ type pendingAtt struct {
 }
 
 // NewRequest builds and signs the next attestation request. When the fast
-// path is enabled and a prior full measurement has been verified, the
-// request grants fast-path permission and memoizes the one fast MAC it
-// would accept.
+// path is enabled and the newest full-measurement request has been
+// verified (arming the fast record), the request grants fast-path
+// permission and memoizes the one fast MAC it would accept.
 func (v *Verifier) NewRequest() (*AttReq, error) {
 	v.nonceSeq++
 	req := &AttReq{
 		Freshness: v.freshness,
 		Auth:      v.auth.Kind(),
 		Nonce:     v.nonceSeq,
-		AllowFast: v.allowFast && v.haveFast,
+		AllowFast: v.allowFast && v.haveFast && v.armedBy >= v.lastFull,
 	}
 	switch v.freshness {
 	case FreshCounter:
@@ -137,6 +148,8 @@ func (v *Verifier) NewRequest() (*AttReq, error) {
 	if req.AllowFast {
 		p.wantFast = FastMAC(v.attestKey, req, v.fastEpoch, &v.fastDigest)
 		p.haveFastWant = true
+	} else {
+		v.lastFull = req.Nonce
 	}
 	v.pending[req.Nonce] = p
 	v.Issued++
@@ -234,6 +247,7 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 		v.fastDigest = p.want
 		v.fastEpoch = resp.Epoch
 		v.haveFast = true
+		v.armedBy = resp.Nonce
 	}
 	return true, nil
 }
@@ -251,7 +265,8 @@ func (v *Verifier) DropFastState() bool {
 }
 
 // HasFastState reports whether the verifier holds a verified digest/epoch
-// record, i.e. whether its next request will grant fast-path permission.
+// record, the precondition for granting fast-path permission (see
+// NewRequest).
 func (v *Verifier) HasFastState() bool { return v.haveFast }
 
 // NewCommand builds and signs a service command (secure update, secure
@@ -412,6 +427,7 @@ func (v *Verifier) ImportState(st VerifierState) {
 	v.haveFast = st.HaveFast && v.allowFast
 	clear(v.pending)
 	clear(v.pendingCmds)
+	v.armedBy, v.lastFull = 0, 0
 }
 
 // DeriveDeviceKey derives a per-device K_Attest from the deployment's

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"proverattest/internal/agent"
+	"proverattest/internal/core"
 	"proverattest/internal/protocol"
 	"proverattest/internal/transport"
 )
@@ -165,6 +167,50 @@ func BenchmarkSocketGateReject(b *testing.B) {
 	if st.AuthRejected != uint64(b.N) {
 		b.Fatalf("AuthRejected = %d, want %d", st.AuthRejected, b.N)
 	}
+}
+
+// BenchmarkServeGateFlood times the daemon's live gate with the transport
+// under it: the 1:1:1 unsolicited/malformed/unknown mix, written 256
+// frames at a time over loopback TCP into one connection's serve loop,
+// which reads, classifies, rejects and times every frame. One op is one
+// frame; ns/frame and allocs/frame cover the serve loop's goroutine and
+// everything else the process ran meanwhile, the writer included.
+func BenchmarkServeGateFlood(b *testing.B) {
+	s, err := New(Config{
+		Freshness:      protocol.FreshCounter,
+		Auth:           protocol.AuthHMACSHA1,
+		MasterSecret:   testMaster,
+		Golden:         core.GoldenRAMPattern(),
+		AttestEvery:    time.Hour,
+		RequestTimeout: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	client, nc := tcpPair(b)
+	defer client.Close()
+	serveDevice(b, s, client, nc, "gate-flood-dev")
+	const perWrite = 256
+	wire, ends := gateMix(perWrite)
+	waitFor(b, 5*time.Second, "the session to open", func() bool { return s.Counters().ConnsAccepted == 1 })
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += perWrite {
+		n := min(perWrite, b.N-sent)
+		if _, err := client.Write(wire[:ends[n-1]]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for s.m.framesIn.Load() < uint64(b.N) {
+		time.Sleep(20 * time.Microsecond)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/frame")
 }
 
 // transportBench is the BENCH_transport.json schema: host-side per-op

@@ -98,9 +98,10 @@ type serverMetrics struct {
 	adminOverrides *obs.Counter
 	adminDrains    *obs.Counter
 
-	// gateLat times frames that die at the serving gate; attestLat times
-	// accepted attestation rounds issue-to-accept. The mass separation
-	// between the two histograms is the paper's asymmetry, live.
+	// gateLat times frames that die at the serving gate (observed by the
+	// serve loop, see handleConnInner); attestLat times accepted
+	// attestation rounds issue-to-accept. The mass separation between the
+	// two histograms is the paper's asymmetry, live.
 	gateLat   *obs.Histogram
 	attestLat *obs.Histogram
 
@@ -177,7 +178,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		adminOverrides: reg.Counter("attestd_admin_actions_total", adminActionsHelp, obs.L("action", "tier_override")),
 		adminDrains:    reg.Counter("attestd_admin_actions_total", adminActionsHelp, obs.L("action", "drain")),
 
-		gateLat:   reg.Histogram("attestd_gate_seconds", "Service time of frames that died at the serving gate.", nil),
+		gateLat:   reg.Histogram("attestd_gate_seconds", "Serve-loop time of frames that died at the serving gate, from the previous frame's end or the read's return after a wait.", nil),
 		attestLat: reg.Histogram("attestd_attest_seconds", "Issue-to-accept round-trip of honest attestation requests.", nil),
 		fsyncLat:  reg.Histogram("attestd_fsync_seconds", "Latency of journal fsyncs forced by the persistence durability policy.", nil),
 

@@ -981,11 +981,19 @@ func (s *Server) handleConnInner(nc net.Conn) {
 	// the per-frame path.
 	dev.setTier(s.tiers.resolve(hello.DeviceID, hello.Tier))
 	bucket := dev.tier.Load().connBucketAt(nil)
+
+	// The gate clock: one monotonic reading per frame, taken when the frame
+	// is done. A frame served from the read buffer starts where the
+	// previous one ended, so that reading does double duty; a frame the
+	// read had to wait for starts when the read returns, so the wait (the
+	// peer's time, not the gate's) is never counted.
+	origin := time.Now()
+	var start time.Duration
 	for {
-		// RecvShared reuses the connection's frame buffer: every handler
+		// The frame aliases the connection's reusable buffer: every handler
 		// below either decodes into value types or copies what it keeps, so
 		// nothing aliases the buffer past handleFrame's return.
-		frame, err := tc.RecvShared()
+		frame, buffered, err := tc.RecvSharedBuffered()
 		if err != nil {
 			// A deadline expiry here means the peer completed no frame for
 			// a whole ReadTimeout: the post-hello slow-loris. The return
@@ -995,23 +1003,31 @@ func (s *Server) handleConnInner(nc net.Conn) {
 			}
 			return
 		}
-		s.handleFrame(dev, bucket, frame)
+		if !buffered {
+			start = time.Since(origin)
+		}
+		rejected := s.handleFrame(dev, bucket, frame)
+		end := time.Since(origin)
+		if rejected {
+			s.m.gateLat.Observe(end - start)
+		}
+		start = end
 	}
 }
 
 // handleFrame is the per-frame serving path: rate gate, classify,
-// dispatch. It must stay allocation-free for frames that die at the gate
-// (rate-limited, unknown, unsolicited) — a hostile peer chooses how often
-// those branches run, and both the counters and the gate-latency
-// histogram record with atomics only. frame is only valid for the
-// duration of the call.
-func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte) {
-	t0 := time.Now()
+// dispatch. It reports whether the frame died at the gate — every reject
+// cause, from the admission buckets to a mismatched measurement — so the
+// serve loop can time it into attestd_gate_seconds; accepted frames
+// report false. It must stay allocation-free for frames that die at the
+// gate (rate-limited, unknown, unsolicited): a hostile peer chooses how
+// often those branches run, and the counters record with atomics only.
+// frame is only valid for the duration of the call.
+func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte) (rejected bool) {
 	s.m.framesIn.Inc()
 	if bucket != nil && !bucket.allow() {
 		s.m.rejRateLimited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	// Tier-wide budget after the per-connection one: a single hostile
 	// connection dies at its own bucket before it can drain the budget
@@ -1020,33 +1036,30 @@ func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte
 	if tr != nil && !tr.allow() {
 		tr.limited.Add(1)
 		s.m.rejTierLimited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	if s.dBucket != nil && !s.dBucket.allow() {
 		s.m.rejDaemonRate.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	if tr != nil {
 		tr.admitted.Inc()
 	}
 	switch protocol.ClassifyFrame(frame) {
 	case protocol.FrameAttResp:
-		s.onAttResp(dev, frame, t0)
+		return s.onAttResp(dev, frame)
 	case protocol.FrameCommandResp:
-		s.onCommandResp(dev, frame, t0)
+		return s.onCommandResp(dev, frame)
 	case protocol.FrameStats:
-		s.onStats(dev, frame, t0)
+		return s.onStats(dev, frame)
 	case protocol.FrameSwarmResp:
-		s.onSwarmResp(dev, frame, t0)
-	default:
-		s.m.rejUnknown.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		return s.onSwarmResp(dev, frame)
 	}
+	s.m.rejUnknown.Inc()
+	return true
 }
 
-func (s *Server) onAttResp(dev *deviceState, frame []byte, t0 time.Time) {
+func (s *Server) onAttResp(dev *deviceState, frame []byte) (rejected bool) {
 	// Decode outside the shard lock (into a stack value, no allocation);
 	// the lock then covers only the pending-map lookup, the memoized
 	// measurement compare and the retire. No closure: this path runs once
@@ -1054,8 +1067,7 @@ func (s *Server) onAttResp(dev *deviceState, frame []byte, t0 time.Time) {
 	var resp protocol.AttResp
 	if err := protocol.DecodeAttRespInto(frame, &resp); err != nil {
 		s.m.rejMalformedResp.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	mu := &dev.mu
 	mu.Lock()
@@ -1089,22 +1101,21 @@ func (s *Server) onAttResp(dev *deviceState, frame []byte, t0 time.Time) {
 			}
 		}
 		s.releaseInflight()
+		return false
 	case unsol:
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
 	case fastRej:
 		// A fast response that failed the digest/epoch record check. The
 		// verifier has dropped its fast state, so the device's next
 		// request demands — and its deviation is caught by — the full MAC.
 		s.m.rejFastMismatch.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
 	default:
 		s.m.rejBadMeasurement.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
 	}
+	return true
 }
 
-func (s *Server) onCommandResp(dev *deviceState, frame []byte, t0 time.Time) {
+func (s *Server) onCommandResp(dev *deviceState, frame []byte) (rejected bool) {
 	var (
 		err   error
 		unsol bool
@@ -1118,16 +1129,16 @@ func (s *Server) onCommandResp(dev *deviceState, frame []byte, t0 time.Time) {
 	case err == nil:
 		s.m.responsesAccepted.Inc()
 		s.releaseInflight()
+		return false
 	case unsol:
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
 	default:
 		s.m.rejCommand.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
 	}
+	return true
 }
 
-func (s *Server) onStats(dev *deviceState, frame []byte, t0 time.Time) {
+func (s *Server) onStats(dev *deviceState, frame []byte) (rejected bool) {
 	// Decode into a stack value first: the retained snapshot below forces
 	// its pointee to the heap, and paying that allocation before validation
 	// would hand hostile malformed-stats floods a per-frame allocation.
@@ -1137,8 +1148,7 @@ func (s *Server) onStats(dev *deviceState, frame []byte, t0 time.Time) {
 		// malformed frame, not an unknown kind — distinct cause, distinct
 		// series.
 		s.m.rejMalformedStats.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	st := new(protocol.StatsReport)
 	*st = tmp
@@ -1159,6 +1169,7 @@ func (s *Server) onStats(dev *deviceState, frame []byte, t0 time.Time) {
 		// them journaled keeps fleet aggregates monotone across restarts.
 		s.persist.MarkDirty(dev.id)
 	}
+	return false
 }
 
 func (s *Server) acquireInflight() bool {

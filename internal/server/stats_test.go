@@ -25,17 +25,16 @@ func statsFrame(received, measured, framesIn uint64) []byte {
 // high-water base that absorbs each dying counter epoch.
 func TestAgentStatsMonotonicAcrossReboot(t *testing.T) {
 	s, dev := newAllocRig(t)
-	now := time.Now()
 
 	// First epoch: the device has done real work.
-	s.onStats(dev, statsFrame(100, 10, 120), now)
+	s.onStats(dev, statsFrame(100, 10, 120))
 	before := s.AgentStats()
 	if before.Received != 100 || before.Measurements != 10 {
 		t.Fatalf("first epoch aggregate = %+v", before)
 	}
 
 	// Reboot: the device reconnects reporting from-zero counters.
-	s.onStats(dev, statsFrame(3, 1, 4), now)
+	s.onStats(dev, statsFrame(3, 1, 4))
 	after := s.AgentStats()
 	if after.Received < before.Received || after.Measurements < before.Measurements ||
 		after.FramesIn < before.FramesIn {
@@ -49,7 +48,7 @@ func TestAgentStatsMonotonicAcrossReboot(t *testing.T) {
 	}
 
 	// The new epoch keeps counting on top of the preserved base.
-	s.onStats(dev, statsFrame(50, 5, 60), now)
+	s.onStats(dev, statsFrame(50, 5, 60))
 	final := s.AgentStats()
 	if final.Received != 150 || final.Measurements != 15 {
 		t.Fatalf("aggregate after second epoch grew wrong: %+v", final)
@@ -64,9 +63,8 @@ func TestAgentStatsMonotonicAcrossReboot(t *testing.T) {
 // mistaken for a counter reset.
 func TestAgentStatsEqualReportIsNotAReboot(t *testing.T) {
 	s, dev := newAllocRig(t)
-	now := time.Now()
-	s.onStats(dev, statsFrame(7, 2, 9), now)
-	s.onStats(dev, statsFrame(7, 2, 9), now)
+	s.onStats(dev, statsFrame(7, 2, 9))
+	s.onStats(dev, statsFrame(7, 2, 9))
 	if got := s.Counters().StatsEpochs; got != 0 {
 		t.Fatalf("StatsEpochs = %d, want 0 for an idle heartbeat", got)
 	}
@@ -80,7 +78,6 @@ func TestAgentStatsEqualReportIsNotAReboot(t *testing.T) {
 // fleet's monotonicity.
 func TestAgentStatsMultiDeviceReboot(t *testing.T) {
 	s, _ := newAllocRig(t)
-	now := time.Now()
 	devA, err := s.device("dev-a")
 	if err != nil {
 		t.Fatal(err)
@@ -89,13 +86,13 @@ func TestAgentStatsMultiDeviceReboot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.onStats(devA, statsFrame(40, 4, 44), now)
-	s.onStats(devB, statsFrame(60, 6, 66), now)
+	s.onStats(devA, statsFrame(40, 4, 44))
+	s.onStats(devB, statsFrame(60, 6, 66))
 	before := s.AgentStats()
 	if before.Received != 100 {
 		t.Fatalf("two-device aggregate = %+v", before)
 	}
-	s.onStats(devA, statsFrame(1, 0, 1), now) // A reboots
+	s.onStats(devA, statsFrame(1, 0, 1)) // A reboots
 	after := s.AgentStats()
 	if after.Received != 101 || after.Measurements != 10 {
 		t.Fatalf("aggregate after A's reboot = %+v, want 101 received / 10 measured", after)

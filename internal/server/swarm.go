@@ -306,12 +306,11 @@ func (s *Server) swarmQuery(tc *transport.Conn, stop <-chan struct{}, req *proto
 // the outstanding nonce is unsolicited. Runs without the coordinator
 // mutex — the round blocks on the waiter channel while holding it, so
 // delivery goes through the lock-free pend pointer instead.
-func (s *Server) onSwarmResp(dev *deviceState, frame []byte, t0 time.Time) {
+func (s *Server) onSwarmResp(dev *deviceState, frame []byte) (rejected bool) {
 	sc := s.swarm
 	if sc == nil || dev.id != sc.gateway {
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	// Decode into a stack value, then copy out: the retained response
 	// escapes, and its bitmap is already a copy (DecodeSwarmRespInto
@@ -319,14 +318,12 @@ func (s *Server) onSwarmResp(dev *deviceState, frame []byte, t0 time.Time) {
 	var tmp protocol.SwarmResp
 	if err := protocol.DecodeSwarmRespInto(frame, &tmp); err != nil {
 		s.m.rejMalformedSwarm.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	w := sc.pend.Load()
 	if w == nil || tmp.Nonce != w.nonce {
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
-		return
+		return true
 	}
 	resp := new(protocol.SwarmResp)
 	*resp = tmp
@@ -334,4 +331,5 @@ func (s *Server) onSwarmResp(dev *deviceState, frame []byte, t0 time.Time) {
 	case w.ch <- resp:
 	default: // duplicate for this nonce: first delivery wins
 	}
+	return false
 }

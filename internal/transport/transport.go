@@ -15,7 +15,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -118,39 +117,63 @@ func ReadFrameInto(r io.Reader, scratch []byte, maxFrame uint32) ([]byte, error)
 	}
 	if _, err := io.ReadFull(r, prefix); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("transport: truncated length prefix: %w", err)
+			return nil, errTruncatedPrefix
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(prefix)
-	if n == 0 {
-		return nil, ErrEmptyFrame
+	n, err := payloadLen(prefix, maxFrame)
+	if err != nil {
+		return nil, err
 	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	var payload []byte
-	if uint64(cap(scratch)) >= uint64(n) {
-		payload = scratch[:n]
-	} else {
-		payload = make([]byte, n)
-	}
+	payload := sized(scratch, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("transport: truncated frame payload: %w", io.ErrUnexpectedEOF)
+			return nil, errTruncatedPayload
 		}
 		return nil, err
 	}
 	return payload, nil
 }
 
+// Truncation errors, shared by ReadFrameInto and Conn so both read paths
+// report a stream that died mid-frame identically.
+var (
+	errTruncatedPrefix  = fmt.Errorf("transport: truncated length prefix: %w", io.ErrUnexpectedEOF)
+	errTruncatedPayload = fmt.Errorf("transport: truncated frame payload: %w", io.ErrUnexpectedEOF)
+)
+
+// payloadLen decodes and validates a length prefix. It is the one check
+// every read path applies before sizing anything by the prefix.
+func payloadLen(prefix []byte, maxFrame uint32) (int, error) {
+	n := binary.LittleEndian.Uint32(prefix)
+	if n == 0 {
+		return 0, ErrEmptyFrame
+	}
+	if n > maxFrame {
+		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+	}
+	return int(n), nil
+}
+
+// sized returns scratch resliced to n bytes, or a fresh n-byte slice when
+// scratch is too small.
+func sized(scratch []byte, n int) []byte {
+	if cap(scratch) >= n {
+		return scratch[:n]
+	}
+	return make([]byte, n)
+}
+
 // Options configure a Conn.
 type Options struct {
 	// MaxFrame bounds payload size in both directions (0 = DefaultMaxFrame).
 	MaxFrame uint32
-	// ReadTimeout bounds one Recv call (0 = no deadline). A Recv that
-	// times out returns a net.Error with Timeout() == true; the connection
-	// stays usable, so callers can treat timeouts as idle ticks.
+	// ReadTimeout bounds every wait for bytes (0 = no deadline). A Recv
+	// whose frame is already whole in the read buffer cannot block and
+	// arms nothing; any other Recv arms the deadline before its first read
+	// from the connection. A Recv that times out returns a net.Error with
+	// Timeout() == true and consumes nothing (a partly received frame stays
+	// buffered), so callers can treat timeouts as idle ticks.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one Send call (0 = no deadline).
 	WriteTimeout time.Duration
@@ -161,6 +184,11 @@ type Options struct {
 	Metrics *Metrics
 }
 
+// readBufSize is the read buffer's initial size: one read from the
+// connection takes in up to this many bytes, however many frames they
+// hold. The buffer grows only to fit a single larger frame.
+const readBufSize = 4096
+
 // Conn frames payloads over a net.Conn. Send and Recv are each safe for
 // one concurrent caller (they serialise internally), mirroring net.Conn's
 // one-reader/one-writer contract.
@@ -169,7 +197,8 @@ type Conn struct {
 	opt Options
 
 	rmu  sync.Mutex
-	br   *bufio.Reader
+	in   []byte // read buffer: in[r:w] is read off nc but not yet returned
+	r, w int
 	rbuf []byte // RecvShared's reusable payload buffer (guarded by rmu)
 
 	wmu  sync.Mutex
@@ -182,7 +211,7 @@ func NewConn(nc net.Conn, opt Options) *Conn {
 	if opt.MaxFrame == 0 {
 		opt.MaxFrame = DefaultMaxFrame
 	}
-	return &Conn{nc: nc, opt: opt, br: bufio.NewReader(nc)}
+	return &Conn{nc: nc, opt: opt, in: make([]byte, readBufSize)}
 }
 
 // Pipe returns both ends of an in-memory, synchronous connection (net.Pipe)
@@ -222,45 +251,124 @@ func (c *Conn) send(payload []byte) error {
 	return err
 }
 
-// Recv reads one frame, applying the read deadline. The returned payload
-// is freshly allocated and owned by the caller outright; loops that can
-// honour the aliasing contract should prefer RecvShared.
+// Recv reads one frame. The returned payload is freshly allocated and
+// owned by the caller outright; loops that can honour the aliasing
+// contract should prefer RecvShared.
+//
+// A frame already whole in the read buffer is returned without touching
+// the connection or its deadline. Otherwise Recv arms the read deadline
+// (Options.ReadTimeout) and reads until the frame is whole; if the
+// deadline expires first it returns the timeout and consumes nothing, so
+// the next Recv resumes the same frame.
 func (c *Conn) Recv() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	return c.recvLocked(nil)
+	frame, _, err := c.recvLocked(nil)
+	return frame, err
 }
 
 // RecvShared reads one frame into the connection's reusable buffer. The
 // returned slice is valid only until the next Recv or RecvShared call on
 // this connection — a caller that retains the frame (or hands it to
 // anything that might) must copy it first. This is the zero-allocation
-// read path for per-frame serving loops.
+// read path for per-frame serving loops; deadlines and timeouts behave as
+// for Recv.
 func (c *Conn) RecvShared() ([]byte, error) {
+	frame, _, err := c.RecvSharedBuffered()
+	return frame, err
+}
+
+// RecvSharedBuffered is RecvShared that also reports whether the frame
+// came from the buffer: buffered is true when it was already whole in the
+// read buffer, so the call armed no deadline and did not wait on the
+// connection. A serving loop uses the bit to tell its own per-frame work
+// from time spent waiting for the peer.
+func (c *Conn) RecvSharedBuffered() (frame []byte, buffered bool, err error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	if c.rbuf == nil {
 		c.rbuf = make([]byte, 0, 512)
 	}
-	frame, err := c.recvLocked(c.rbuf)
+	frame, buffered, err = c.recvLocked(c.rbuf)
 	if frame != nil {
 		c.rbuf = frame // adopt any growth for the next frame
 	}
-	return frame, err
+	return frame, buffered, err
 }
 
-func (c *Conn) recvLocked(scratch []byte) ([]byte, error) {
-	if c.opt.ReadTimeout > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
-			return nil, err
+// recvLocked returns the next frame, copied into scratch (grown as
+// ReadFrameInto grows it), and whether it came from the buffer. Bytes
+// leave the read buffer only as part of a returned frame.
+func (c *Conn) recvLocked(scratch []byte) (frame []byte, buffered bool, err error) {
+	frame, buffered, err = c.next(scratch)
+	c.opt.Metrics.recvDone(frame, err)
+	return frame, buffered, err
+}
+
+func (c *Conn) next(scratch []byte) ([]byte, bool, error) {
+	need := prefixSize // bytes the next frame occupies, once its prefix is in
+	buffered := true
+	for {
+		have := c.w - c.r
+		if have >= prefixSize {
+			n, err := payloadLen(c.in[c.r:], c.opt.MaxFrame)
+			if err != nil {
+				return nil, buffered, err
+			}
+			need = prefixSize + n
+			if have >= need {
+				frame := sized(scratch, n)
+				copy(frame, c.in[c.r+prefixSize:])
+				c.r += need
+				return frame, buffered, nil
+			}
+		}
+		if buffered {
+			// This Recv has to wait for bytes: arm the deadline once,
+			// before its first read.
+			buffered = false
+			if c.opt.ReadTimeout > 0 {
+				if err := c.nc.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
+					return nil, false, err
+				}
+			}
+		}
+		if err := c.fill(need); err != nil {
+			switch {
+			case !errors.Is(err, io.EOF) || have == 0:
+				return nil, false, err
+			case have < prefixSize:
+				return nil, false, errTruncatedPrefix
+			default:
+				return nil, false, errTruncatedPayload
+			}
 		}
 	}
-	frame, err := ReadFrameInto(c.br, scratch, c.opt.MaxFrame)
-	c.opt.Metrics.recvDone(frame, err)
-	return frame, err
 }
 
-// SetReadTimeout replaces the per-Recv deadline for subsequent reads.
+// fill makes one read from the connection into the read buffer. It first
+// moves the unread bytes to the front, so every read gets all the room the
+// buffer has, and grows the buffer when the frame being assembled (need
+// bytes, prefix included) does not fit.
+func (c *Conn) fill(need int) error {
+	if c.r > 0 {
+		c.w = copy(c.in, c.in[c.r:c.w])
+		c.r = 0
+	}
+	if need > len(c.in) {
+		grown := make([]byte, need)
+		copy(grown, c.in[:c.w])
+		c.in = grown
+	}
+	n, err := c.nc.Read(c.in[c.w:])
+	c.w += n
+	if n > 0 {
+		return nil // an error that came with bytes recurs on the next read
+	}
+	return err
+}
+
+// SetReadTimeout replaces the read deadline applied to subsequent waits.
 // It lets a server hold the first frame of a connection to a short
 // hello deadline and then relax to the steady-state read timeout once
 // the peer has proven it speaks the protocol. It must not be called

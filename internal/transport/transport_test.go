@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -117,5 +119,108 @@ func TestRecvTimeoutIsIdleTick(t *testing.T) {
 		if !IsTimeout(err) || time.Now().After(deadline) {
 			t.Fatalf("Recv after timeout: %v", err)
 		}
+	}
+}
+
+// TestRecvTimeoutMidFrameConsumesNothing pins the stream's framing across
+// a read timeout that lands inside a frame: the agent treats timeouts as
+// heartbeat ticks, so a frame that straddles a tick must still arrive
+// whole. Bytes used to be consumed up to the deadline, and every later
+// Recv parsed payload bytes as a length prefix. Both a frame that fits
+// the read buffer and one larger than it are covered, split inside the
+// prefix and inside the payload.
+func TestRecvTimeoutMidFrameConsumesNothing(t *testing.T) {
+	for _, size := range []int{100, 3 * readBufSize} {
+		for _, split := range []int{2, prefixSize + 50} {
+			t.Run(fmt.Sprintf("payload=%d/split=%d", size, split), func(t *testing.T) {
+				first := make([]byte, size)
+				for i := range first {
+					first[i] = byte(i * 7)
+				}
+				wire := AppendFrame(AppendFrame(nil, first), []byte("next"))
+
+				an, bn := net.Pipe()
+				defer an.Close()
+				rx := NewConn(bn, Options{ReadTimeout: 20 * time.Millisecond})
+				defer rx.Close()
+				wrote := make(chan error, 1)
+				go func() {
+					if _, err := an.Write(wire[:split]); err != nil {
+						wrote <- err
+						return
+					}
+					time.Sleep(60 * time.Millisecond)
+					_, err := an.Write(wire[split:])
+					wrote <- err
+				}()
+
+				timeouts := 0
+				recv := func() []byte {
+					t.Helper()
+					for {
+						frame, err := rx.Recv()
+						if err == nil {
+							return frame
+						}
+						if !IsTimeout(err) || timeouts > 100 {
+							t.Fatalf("Recv after %d timeouts: %v", timeouts, err)
+						}
+						timeouts++
+					}
+				}
+				if got := recv(); !bytes.Equal(got, first) {
+					t.Fatalf("straddling frame: got %d bytes, want %d intact", len(got), len(first))
+				}
+				if timeouts == 0 {
+					t.Fatal("no Recv timed out inside the frame; the pause did not straddle a deadline")
+				}
+				if got := recv(); string(got) != "next" {
+					t.Fatalf("frame after the straddling one = %q, want %q", got, "next")
+				}
+				if err := <-wrote; err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// deadlineConn counts the read deadlines armed on a net.Conn.
+type deadlineConn struct {
+	net.Conn
+	armed int
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	c.armed++
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestRecvArmsDeadlineOnlyToWait: frames already whole in the read buffer
+// are returned without arming a deadline and report buffered; the Recv
+// that has to wait for bytes arms exactly one.
+func TestRecvArmsDeadlineOnlyToWait(t *testing.T) {
+	an, bn := net.Pipe()
+	defer an.Close()
+	dc := &deadlineConn{Conn: bn}
+	rx := NewConn(dc, Options{ReadTimeout: 5 * time.Second})
+	defer rx.Close()
+
+	var wire []byte
+	for _, p := range []string{"one", "two", "three"} {
+		wire = AppendFrame(wire, []byte(p))
+	}
+	go an.Write(wire) //nolint:errcheck
+	for i, want := range []string{"one", "two", "three"} {
+		frame, buffered, err := rx.RecvSharedBuffered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(frame) != want || buffered != (i > 0) {
+			t.Fatalf("frame %d = %q buffered=%v, want %q buffered=%v", i, frame, buffered, want, i > 0)
+		}
+	}
+	if dc.armed != 1 {
+		t.Fatalf("%d read deadlines armed for one read, want 1", dc.armed)
 	}
 }
