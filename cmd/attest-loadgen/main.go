@@ -390,7 +390,7 @@ func main() {
 
 		quiescent  = flag.Bool("quiescent", false, "quiescent fleet: devices answer via the RATA fast-path responder and the adversarial pump is off; the in-process daemon grants the fast path")
 		minSpeedup = flag.Float64("min-speedup", 0, "with -quiescent, fail unless the fast/full round speedup reaches this factor (0 = report only)")
-		scrapeURL = flag.String("scrape", "", "external daemon's /metrics URL to scrape mid-run, e.g. http://10.0.0.7:9150/metrics (in-process daemons are scraped automatically)")
+		scrapeURL  = flag.String("scrape", "", "external daemon's /metrics URL to scrape mid-run, e.g. http://10.0.0.7:9150/metrics (in-process daemons are scraped automatically)")
 
 		clusterMode = flag.Bool("cluster", false, "cluster mode: ladder of 1→2→4 in-process daemons sharing a consistent-hash ring, each flooded past its -daemon-rate admission budget; reports admitted frames/s per rung and the scaling ratios, then runs a kill-one failover drill")
 		daemonRate  = flag.Float64("daemon-rate", 2000, "with -cluster, each daemon's admission budget in frames/s (server-side MaxRatePerSec)")

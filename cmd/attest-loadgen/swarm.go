@@ -54,8 +54,8 @@ type benchSwarm struct {
 	Rounds uint64 `json:"rounds"`
 	// Accepted counts every aggregate check the verifier passed —
 	// full rounds plus clean own-only probes during bisection/resync.
-	Accepted   uint64 `json:"checks_accepted"`
-	Bisections uint64 `json:"bisection_probes"`
+	Accepted     uint64  `json:"checks_accepted"`
+	Bisections   uint64  `json:"bisection_probes"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 
 	// Verifier-side message accounting: a direct deployment spends 2N

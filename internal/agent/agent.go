@@ -105,10 +105,9 @@ type Agent struct {
 
 	framesIn uint64 // frames pulled off the socket (guarded by procCh)
 
-	// now and sleep are the Run loop's injectable clock, following the
-	// server token bucket's pattern: production uses the wall clock,
-	// backoff tests freeze it. sleep returns false when the context
-	// cancelled the wait.
+	// now and sleep are the Run loop's injectable clock: production uses
+	// the wall clock, backoff tests freeze it. sleep returns false when
+	// the context cancelled the wait.
 	now   func() time.Time
 	sleep func(context.Context, time.Duration) bool
 

@@ -103,9 +103,9 @@ func TestClassifyPeer(t *testing.T) {
 		{EncodeStateResp("d", nil), PeerStateResp},
 		{EncodePing(), PeerPing},
 		{EncodePong(), PeerPong},
-		{[]byte{0x41, 0x52, 1}, PeerUnknown},       // AttReq magic
-		{[]byte{0x41, 0x4B, 9}, PeerUnknown},       // wrong version
-		{[]byte{0x42, 0x4B, 1}, PeerUnknown},       // wrong leading magic
+		{[]byte{0x41, 0x52, 1}, PeerUnknown}, // AttReq magic
+		{[]byte{0x41, 0x4B, 9}, PeerUnknown}, // wrong version
+		{[]byte{0x42, 0x4B, 1}, PeerUnknown}, // wrong leading magic
 		{nil, PeerUnknown},
 		{[]byte{0x41}, PeerUnknown},
 	}

@@ -23,9 +23,9 @@ func FuzzJournalReplay(f *testing.F) {
 	valid = appendRecord(valid, recTombstone, "dev-b", nil)
 	valid = appendRecord(valid, recClean, "", nil)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])        // torn tail
-	f.Add([]byte{})                    // empty file
-	f.Add([]byte{0xFF, 0xFF, 0xFF})    // short length prefix
+	f.Add(valid[:len(valid)-3])                     // torn tail
+	f.Add([]byte{})                                 // empty file
+	f.Add([]byte{0xFF, 0xFF, 0xFF})                 // short length prefix
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0)) // zero-length record
 
 	// Key/DeviceID mismatch seed: framing intact, embedded ID wrong.
@@ -50,9 +50,13 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 
-		// Walk the framing ourselves and count parseable put records whose
-		// embedded ID matches the key; replay may apply at most those.
-		applied := 0
+		// Walk the framing with a model of the record rules: a put applies
+		// when its embedded ID matches its key, a tombstone deletes, and a
+		// record the walk cannot use is dropped, as is everything after a
+		// bad length prefix. Replay must end with exactly the model's state
+		// and must flag every drop.
+		want := make(map[string]cluster.Snapshot)
+		dropped := false
 		buf := data
 		for len(buf) >= 4 {
 			n := binary.LittleEndian.Uint32(buf)
@@ -62,27 +66,32 @@ func FuzzJournalReplay(f *testing.F) {
 			payload := buf[4 : 4+n]
 			buf = buf[4+n:]
 			kind, key, body, ok := splitRecord(payload)
-			if !ok {
-				continue
-			}
-			switch kind {
-			case recPut:
-				if id, _, err := cluster.DecodeStatePush(body); err == nil && id == key {
-					applied++
+			switch {
+			case !ok:
+				dropped = true
+			case kind == recPut:
+				if id, snap, err := cluster.DecodeStatePush(body); err == nil && id == key {
+					want[key] = snap
+				} else {
+					dropped = true
 				}
-			case recTombstone:
-				applied++ // deletes count as applied effects
+			case kind == recTombstone:
+				delete(want, key)
+			case kind != recClean:
+				dropped = true
 			}
 		}
-		if len(state) > applied {
-			t.Fatalf("replay applied %d entries but only %d records were valid", len(state), applied)
+		if len(state) != len(want) {
+			t.Fatalf("replay applied %d entries, the valid records leave %d", len(state), len(want))
 		}
-
-		// Dropping data must always be visible: if the input has bytes but
-		// nothing applied and nothing flagged, replay swallowed input.
-		if len(bytes.TrimRight(data, "\x00")) > 0 && len(state) == 0 &&
-			res.skipped == 0 && !res.truncated && !res.clean && applied > 0 {
-			t.Fatal("valid records dropped without accounting")
+		for id, w := range want {
+			got, ok := state[id]
+			if !ok || !bytes.Equal(cluster.AppendStatePush(nil, id, &got), cluster.AppendStatePush(nil, id, &w)) {
+				t.Fatalf("replay's state for %q differs from the last valid put", id)
+			}
+		}
+		if (dropped || len(buf) > 0) && res.skipped == 0 && !res.truncated {
+			t.Fatal("records dropped without accounting")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"testing"
+	"time"
 
 	"proverattest/internal/core"
 	"proverattest/internal/protocol"
@@ -14,14 +15,20 @@ import (
 // frame anywhere on the reject path (acceptance bar; the measured paths
 // below are zero today).
 
-func newAllocRig(t testing.TB) (*Server, *deviceState) {
+// newAllocRig builds a daemon and one device entry resolved into its tier
+// policy; mutate, when given, adjusts the config first.
+func newAllocRig(t testing.TB, mutate ...func(*Config)) (*Server, *deviceState) {
 	t.Helper()
-	s, err := New(Config{
+	cfg := Config{
 		Freshness:    protocol.FreshCounter,
 		Auth:         protocol.AuthHMACSHA1,
 		MasterSecret: testMaster,
 		Golden:       core.GoldenRAMPattern(),
-	})
+	}
+	for _, f := range mutate {
+		f(&cfg)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +36,7 @@ func newAllocRig(t testing.TB) (*Server, *deviceState) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev.setTier(s.tiers.resolve(dev.id, 0))
 	return s, dev
 }
 
@@ -43,7 +51,7 @@ func allocsPerFrame(t *testing.T, name string, limit float64, fn func()) {
 func TestHandleFrameUnknownZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(dev, nil, 0, frame) })
 	if s.Counters().UnknownFrames == 0 {
 		t.Fatal("unknown frames not counted")
 	}
@@ -53,12 +61,40 @@ func TestHandleFrameRateLimitedZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	// An empty bucket with a negligible refill rate: every frame is over
 	// budget, the cheapest (and most attacker-reachable) reject of all.
-	bucket := newTokenBucket(1e-9, 1)
+	bucket := newTokenBucket(1e-9, 1, 0)
 	bucket.tokens = 0
 	frame := []byte{0xDE, 0xAD}
-	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(dev, bucket, frame) })
+	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(dev, bucket, time.Second, frame) })
 	if s.Counters().RateLimited == 0 {
 		t.Fatal("rate-limited frames not counted")
+	}
+}
+
+// TestHandleFrameTierLimitedZeroAllocs pins the tier-wide refusal: the
+// device rides a capped tier whose shared budget the warm-up frame
+// spends, so every measured frame dies at the tier bucket before decode.
+func TestHandleFrameTierLimitedZeroAllocs(t *testing.T) {
+	s, dev := newAllocRig(t, func(c *Config) {
+		c.Tiers = &TierPolicy{Tiers: []TierSpec{{Name: "bulk", RatePerSec: 1e-9, Burst: 1}}}
+	})
+	frame := []byte{0xDE, 0xAD}
+	allocsPerFrame(t, "tier-limited frame", 0, func() { s.handleFrame(dev, nil, time.Second, frame) })
+	if c := s.Counters(); c.TierLimited == 0 || c.TierLimited+c.UnknownFrames != c.FramesIn {
+		t.Fatalf("tier-limited frames not counted: %v", c)
+	}
+}
+
+// TestHandleFrameDaemonRateZeroAllocs pins the daemon-wide refusal: the
+// warm-up frame spends the daemon's whole budget, so every measured frame
+// dies at the daemon bucket before decode.
+func TestHandleFrameDaemonRateZeroAllocs(t *testing.T) {
+	s, dev := newAllocRig(t, func(c *Config) {
+		c.MaxRatePerSec, c.MaxRateBurst = 1e-9, 1
+	})
+	frame := []byte{0xDE, 0xAD}
+	allocsPerFrame(t, "daemon-rate frame", 0, func() { s.handleFrame(dev, nil, time.Second, frame) })
+	if c := s.Counters(); c.DaemonRateLimited == 0 || c.DaemonRateLimited+c.UnknownFrames != c.FramesIn {
+		t.Fatalf("daemon-rate frames not counted: %v", c)
 	}
 }
 
@@ -67,7 +103,7 @@ func TestHandleFrameUnsolicitedRespZeroAllocs(t *testing.T) {
 	// A well-formed response answering no outstanding nonce: decode-into,
 	// shard-locked map miss, static-error reject.
 	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
-	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(dev, nil, 0, frame) })
 	if s.Counters().ResponsesUnsolicited == 0 {
 		t.Fatal("unsolicited responses not counted")
 	}
@@ -77,7 +113,7 @@ func TestHandleFrameMalformedRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	// Classifies as a response (magic + version) but fails strict framing.
 	frame := (&protocol.AttResp{Nonce: 1}).Encode()[:respTruncated]
-	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(dev, nil, 0, frame) })
 	c := s.Counters()
 	if c.ResponsesMalformed == 0 || c.MalformedFrames == 0 {
 		t.Fatal("malformed responses not counted on their distinct cause series")
@@ -99,7 +135,7 @@ func TestHandleFrameMalformedStatsDistinctCause(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	frame = frame[:len(frame)-1] // classifies as stats, fails length check
-	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(dev, nil, 0, frame) })
 	c := s.Counters()
 	if c.MalformedFrames == 0 {
 		t.Fatal("malformed stats frames not counted as malformed")
@@ -140,7 +176,7 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 	}
 	var resp protocol.AttResp
 	fr.RespondInto(req, &resp)
-	s.handleFrame(dev, nil, resp.Encode())
+	s.handleFrame(dev, nil, 0, resp.Encode())
 	if c := s.Counters(); c.ResponsesAccepted != 1 || c.ResponsesFast != 0 {
 		t.Fatalf("arming round: %+v", c)
 	}
@@ -163,7 +199,7 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 		frames = append(frames, r.Encode())
 	}
 	i := 0
-	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(dev, nil, frames[i]); i++ })
+	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(dev, nil, 0, frames[i]); i++ })
 	c := s.Counters()
 	if c.ResponsesFast != uint64(i) || c.ResponsesRejected != 0 {
 		t.Fatalf("after %d fast frames: %+v", i, c)
@@ -183,7 +219,7 @@ func BenchmarkHandleFrameUnsolicited(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.handleFrame(dev, nil, frame)
+		s.handleFrame(dev, nil, 0, frame)
 	}
 }
 
@@ -191,7 +227,7 @@ func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	// One decoded StatsReport object per heartbeat frame is the budget.
-	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(dev, nil, 0, frame) })
 	if dev.lastStats.Load() == nil {
 		t.Fatal("stats report not retained")
 	}

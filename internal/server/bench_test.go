@@ -172,10 +172,22 @@ func BenchmarkSocketGateReject(b *testing.B) {
 // BenchmarkServeGateFlood times the daemon's live gate with the transport
 // under it: the 1:1:1 unsolicited/malformed/unknown mix, written 256
 // frames at a time over loopback TCP into one connection's serve loop,
-// which reads, classifies, rejects and times every frame. One op is one
-// frame; ns/frame and allocs/frame cover the serve loop's goroutine and
-// everything else the process ran meanwhile, the writer included.
+// which reads, admits, classifies, rejects and times every frame. In the
+// tier_limited case the device is matched into a 400 frames/s bulk tier,
+// so every frame past the tier's burst dies at the tier bucket before
+// decode. One op is one frame; ns/frame and allocs/frame cover the serve
+// loop's goroutine and everything else the process ran meanwhile, the
+// writer included.
 func BenchmarkServeGateFlood(b *testing.B) {
+	b.Run("mix", func(b *testing.B) { benchServeGateFlood(b, nil) })
+	b.Run("tier_limited", func(b *testing.B) {
+		benchServeGateFlood(b, &TierPolicy{Tiers: []TierSpec{
+			{Name: "bulk", Match: []string{"gate-flood-"}, RatePerSec: 400, Burst: 400},
+		}})
+	})
+}
+
+func benchServeGateFlood(b *testing.B, tiers *TierPolicy) {
 	s, err := New(Config{
 		Freshness:      protocol.FreshCounter,
 		Auth:           protocol.AuthHMACSHA1,
@@ -183,6 +195,7 @@ func BenchmarkServeGateFlood(b *testing.B) {
 		Golden:         core.GoldenRAMPattern(),
 		AttestEvery:    time.Hour,
 		RequestTimeout: time.Hour,
+		Tiers:          tiers,
 	})
 	if err != nil {
 		b.Fatal(err)

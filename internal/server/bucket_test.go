@@ -1,18 +1,27 @@
 package server
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// fakeBucket builds a token bucket on a controllable clock. The returned
-// advance function moves that clock forward.
-func fakeBucket(rate, burst float64) (*tokenBucket, func(time.Duration)) {
-	clk := time.Unix(1_000_000, 0)
-	b := &tokenBucket{rate: rate, burst: burst, tokens: burst, last: clk}
-	b.now = func() time.Time { return clk }
-	advance := func(d time.Duration) { clk = clk.Add(d) }
-	return b, advance
+// steppedBucket is a token bucket fed a monotonic reading the test steps
+// by hand.
+type steppedBucket struct {
+	b   *tokenBucket
+	now time.Duration
+}
+
+func (s *steppedBucket) allow() bool { return s.b.allow(s.now) }
+
+// fakeBucket builds a full token bucket at a fixed reading. The returned
+// advance function steps that reading forward.
+func fakeBucket(rate, burst float64) (*steppedBucket, func(time.Duration)) {
+	s := &steppedBucket{now: time.Hour}
+	s.b = newTokenBucket(rate, burst, s.now)
+	return s, func(d time.Duration) { s.now += d }
 }
 
 func TestTokenBucketBurstExhaustion(t *testing.T) {
@@ -22,10 +31,10 @@ func TestTokenBucketBurstExhaustion(t *testing.T) {
 			t.Fatalf("frame %d refused inside the burst", i)
 		}
 	}
-	// Clock frozen: no refill, everything past the burst is refused.
+	// Reading frozen: no refill, everything past the burst is refused.
 	for i := 0; i < 3; i++ {
 		if b.allow() {
-			t.Fatalf("frame allowed with an exhausted bucket and a frozen clock")
+			t.Fatalf("frame allowed with an exhausted bucket and a frozen reading")
 		}
 	}
 }
@@ -81,22 +90,80 @@ func TestTokenBucketZeroRateUnlimited(t *testing.T) {
 	}
 }
 
-// TestTokenBucketClockReadsAmortised pins the perf contract that motivated
-// the batched refill: frames served from burst headroom must not read the
-// clock at all.
-func TestTokenBucketClockReadsAmortised(t *testing.T) {
-	reads := 0
-	clk := time.Unix(1_000_000, 0)
-	b := &tokenBucket{rate: 10, burst: 16, tokens: 16, last: clk}
-	b.now = func() time.Time { reads++; return clk }
-	for i := 0; i < 16; i++ {
-		b.allow()
+// TestLockedBucketMatchesTokenBucket drives a shared lockedBucket and a
+// plain tokenBucket with the same limits and the same readings and
+// requires identical decisions: a refusal without the lock must be
+// exactly the decision the locked bucket would make. Readings step
+// forward, stand still, land on and around the published ready instant,
+// jump far ahead and now and then go backwards.
+func TestLockedBucketMatchesTokenBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	steps := 10000
+	if testing.Short() {
+		steps = 1000
 	}
-	if reads != 0 {
-		t.Fatalf("%d clock reads inside the burst, want 0", reads)
+	decisions, lockFree := 0, 0
+	for _, rate := range []float64{1e-9, 0.3, 1, 2.5, 7.77, 400, 1e6} {
+		for _, burst := range []float64{0, 0.5, 1, 1.5, 2, 7, 64} {
+			for trial := 0; trial < 4; trial++ {
+				now := time.Duration(rng.Int63n(int64(time.Hour)))
+				lb := newLockedBucket(rate, burst, now)
+				plain := newTokenBucket(rate, burst, now)
+				// One token's refill time, capped so readings stay far
+				// from overflow over the whole walk.
+				period := min(time.Duration(float64(time.Second)/rate), time.Hour)
+				for i := 0; i < steps; i++ {
+					ready := time.Duration(lb.ready.Load())
+					switch r := rng.Intn(16); {
+					case r == 0:
+						now -= time.Duration(rng.Int63n(int64(period) + 1))
+					case r == 1:
+						now += time.Duration(burst+1) * period
+					case r < 6 && ready != math.MinInt64 && ready != math.MaxInt64:
+						now = ready + time.Duration(rng.Intn(5)-2)
+					case r < 9:
+						// Stand still.
+					default:
+						now += time.Duration(rng.Int63n(int64(period)/2 + 1))
+					}
+					if now < ready {
+						lockFree++
+					}
+					if got, want := lb.allow(now), plain.allow(now); got != want {
+						t.Fatalf("rate %v burst %v trial %d step %d: reading %d (ready %d): locked bucket = %v, plain bucket = %v",
+							rate, burst, trial, i, now, ready, got, want)
+					}
+					decisions++
+				}
+			}
+		}
 	}
-	b.allow() // first refused frame pays the one refill read
-	if reads != 1 {
-		t.Fatalf("%d clock reads on exhaustion, want 1", reads)
+	if lockFree == 0 || lockFree == decisions {
+		t.Fatalf("%d of %d decisions refused without the lock; the walk must exercise both paths", lockFree, decisions)
+	}
+	t.Logf("%d decisions, %d refused without the lock", decisions, lockFree)
+}
+
+// TestLockedBucketRefusesWithoutLock holds the shared bucket's mutex, as a
+// concurrent admission would, and requires a refusal for a reading
+// before the published ready instant to return at once.
+func TestLockedBucketRefusesWithoutLock(t *testing.T) {
+	now := time.Hour
+	lb := newLockedBucket(1, 1, now)
+	if !lb.allow(now) {
+		t.Fatal("a full depth-1 bucket refused its token")
+	}
+	// Empty at rate 1/s: the next token is a second away.
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	done := make(chan bool, 1)
+	go func() { done <- lb.allow(now + 500*time.Millisecond) }()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("an empty bucket admitted a frame half a token early")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a refusal before the ready instant waited for the bucket's mutex")
 	}
 }

@@ -1,18 +1,15 @@
 package server
 
 import (
-	"sync"
-
 	"proverattest/internal/cluster"
 	"proverattest/internal/transport"
 )
 
 // This file is the daemon side of cluster mode: adopting handed-off
-// state when an owned device first appears, serving peers' state-transfer
-// requests, and the daemon-wide admission bucket. The routing decisions
-// themselves (ring, membership, redirects' addresses) live in
-// internal/cluster; this file only moves verifier state in and out of the
-// store.
+// state when an owned device first appears and serving peers'
+// state-transfer requests. The routing decisions themselves (ring,
+// membership, redirects' addresses) live in internal/cluster; this file
+// only moves verifier state in and out of the store.
 
 // handoffKind records how a newly created device entry got its freshness
 // state.
@@ -163,26 +160,4 @@ func (s *Server) servePeer(tc *transport.Conn, helloFrame []byte) {
 			return
 		}
 	}
-}
-
-// lockedBucket is the daemon-wide admission bucket: the same batched
-// token bucket the per-connection gate uses, made safe for the many
-// serving goroutines that share it. One uncontended mutex lock/unlock per
-// frame, no allocation — the gate-reject paths stay 0 allocs/frame.
-type lockedBucket struct {
-	mu sync.Mutex
-	b  tokenBucket
-}
-
-func newLockedBucket(rate, burst float64) *lockedBucket {
-	lb := &lockedBucket{}
-	lb.b = *newTokenBucket(rate, burst)
-	return lb
-}
-
-func (lb *lockedBucket) allow() bool {
-	lb.mu.Lock()
-	ok := lb.b.allow()
-	lb.mu.Unlock()
-	return ok
 }

@@ -22,11 +22,11 @@ type serverMetrics struct {
 	connsAccepted *obs.Counter
 
 	// Connection rejections by cause (attestd_conns_rejected_total).
-	connRejIO        *obs.Counter // first frame never arrived / read error
-	connRejHello     *obs.Counter // hello failed to parse
-	connRejHelloSlow *obs.Counter // first frame missed the hello deadline (slow-loris)
-	connRejPolicy    *obs.Counter // hello declared a mismatched freshness/auth policy
-	connRejCap       *obs.Counter // accept-side MaxConns refusal
+	connRejIO         *obs.Counter // first frame never arrived / read error
+	connRejHello      *obs.Counter // hello failed to parse
+	connRejHelloSlow  *obs.Counter // first frame missed the hello deadline (slow-loris)
+	connRejPolicy     *obs.Counter // hello declared a mismatched freshness/auth policy
+	connRejCap        *obs.Counter // accept-side MaxConns refusal
 	connRejDraining   *obs.Counter // refused because the daemon is draining
 	connRejDeviceNew  *obs.Counter // per-device verifier construction failed
 	connRejDeviceFull *obs.Counter // device table at MaxDevices, new identity refused
@@ -122,11 +122,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
 		connsAccepted: reg.Counter("attestd_conns_accepted_total", "Connections whose hello matched the provisioned policy."),
 
-		connRejIO:        reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "io")),
-		connRejHello:     reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "hello_malformed")),
-		connRejHelloSlow: reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "hello_timeout")),
-		connRejPolicy:    reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "policy_mismatch")),
-		connRejCap:       reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "conn_cap")),
+		connRejIO:         reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "io")),
+		connRejHello:      reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "hello_malformed")),
+		connRejHelloSlow:  reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "hello_timeout")),
+		connRejPolicy:     reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "policy_mismatch")),
+		connRejCap:        reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "conn_cap")),
 		connRejDraining:   reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "draining")),
 		connRejDeviceNew:  reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "device_init")),
 		connRejDeviceFull: reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "device_table_full")),

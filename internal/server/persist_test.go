@@ -188,10 +188,10 @@ func TestGateRejectZeroAllocsOverPersistentStore(t *testing.T) {
 	}
 	unknown := []byte{0xDE, 0xAD, 0xBE, 0xEF}
 	allocsPerFrame(t, "unknown frame over persistent store", 0,
-		func() { s.handleFrame(dev, nil, unknown) })
+		func() { s.handleFrame(dev, nil, 0, unknown) })
 	unsolicited := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
 	allocsPerFrame(t, "unsolicited response over persistent store", 0,
-		func() { s.handleFrame(dev, nil, unsolicited) })
+		func() { s.handleFrame(dev, nil, 0, unsolicited) })
 }
 
 // --- satellite 2: fleet stats monotonicity under churn --------------------
@@ -225,7 +225,7 @@ func TestAgentStatsMonotoneUnderChurn(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				v += 10
 				frame := (&protocol.StatsReport{Received: v, Measurements: v}).Encode()
-				s.handleFrame(dev, nil, frame)
+				s.handleFrame(dev, nil, 0, frame)
 			}
 			v = 1 // reboot: cumulative counters restart near zero
 		}

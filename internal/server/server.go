@@ -527,7 +527,7 @@ func New(cfg Config) (*Server, error) {
 				burst = cfg.MaxRatePerSec
 			}
 		}
-		s.dBucket = newLockedBucket(cfg.MaxRatePerSec, burst)
+		s.dBucket = newLockedBucket(cfg.MaxRatePerSec, burst, monoNow())
 	}
 	if s.cl != nil {
 		// The replication pusher reads each dirty device's current
@@ -980,15 +980,17 @@ func (s *Server) handleConnInner(nc net.Conn) {
 	// budget from it — tier placement happens once per session, never on
 	// the per-frame path.
 	dev.setTier(s.tiers.resolve(hello.DeviceID, hello.Tier))
-	bucket := dev.tier.Load().connBucketAt(nil)
 
 	// The gate clock: one monotonic reading per frame, taken when the frame
 	// is done. A frame served from the read buffer starts where the
 	// previous one ended, so that reading does double duty; a frame the
 	// read had to wait for starts when the read returns, so the wait (the
-	// peer's time, not the gate's) is never counted.
-	origin := time.Now()
-	var start time.Duration
+	// peer's time, not the gate's) is never counted. A frame's start is
+	// also the reading its admission buckets refill on. Readings share the
+	// process-wide origin, so the first frame starts from a reading taken
+	// here, not from zero.
+	start := monoNow()
+	bucket := dev.tier.Load().connBucketAt(start)
 	for {
 		// The frame aliases the connection's reusable buffer: every handler
 		// below either decodes into value types or copies what it keeps, so
@@ -1004,10 +1006,10 @@ func (s *Server) handleConnInner(nc net.Conn) {
 			return
 		}
 		if !buffered {
-			start = time.Since(origin)
+			start = monoNow()
 		}
-		rejected := s.handleFrame(dev, bucket, frame)
-		end := time.Since(origin)
+		rejected := s.handleFrame(dev, bucket, start, frame)
+		end := monoNow()
 		if rejected {
 			s.m.gateLat.Observe(end - start)
 		}
@@ -1015,17 +1017,20 @@ func (s *Server) handleConnInner(nc net.Conn) {
 	}
 }
 
-// handleFrame is the per-frame serving path: rate gate, classify,
-// dispatch. It reports whether the frame died at the gate — every reject
-// cause, from the admission buckets to a mismatched measurement — so the
-// serve loop can time it into attestd_gate_seconds; accepted frames
-// report false. It must stay allocation-free for frames that die at the
-// gate (rate-limited, unknown, unsolicited): a hostile peer chooses how
-// often those branches run, and the counters record with atomics only.
-// frame is only valid for the duration of the call.
-func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte) (rejected bool) {
+// handleFrame is the per-frame serving path: admission buckets,
+// classify, dispatch. now is the serve loop's monotonic reading for the
+// frame (see monoNow); the per-connection, tier-wide and daemon-wide
+// buckets all refill on it, so admission reads no clock. It reports
+// whether the frame died at the gate — every reject cause, from the
+// admission buckets to a mismatched measurement — so the serve loop can
+// time it into attestd_gate_seconds; accepted frames report false. It
+// must stay allocation-free for frames that die at the gate (rate- or
+// tier-limited, unknown, unsolicited): a hostile peer chooses how often
+// those branches run, and the counters record with atomics only. frame
+// is only valid for the duration of the call.
+func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, now time.Duration, frame []byte) (rejected bool) {
 	s.m.framesIn.Inc()
-	if bucket != nil && !bucket.allow() {
+	if bucket != nil && !bucket.allow(now) {
 		s.m.rejRateLimited.Inc()
 		return true
 	}
@@ -1033,12 +1038,12 @@ func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte
 	// connection dies at its own bucket before it can drain the budget
 	// its whole class shares.
 	tr := dev.tier.Load()
-	if tr != nil && !tr.allow() {
+	if tr != nil && !tr.allow(now) {
 		tr.limited.Add(1)
 		s.m.rejTierLimited.Inc()
 		return true
 	}
-	if s.dBucket != nil && !s.dBucket.allow() {
+	if s.dBucket != nil && !s.dBucket.allow(now) {
 		s.m.rejDaemonRate.Inc()
 		return true
 	}
@@ -1384,50 +1389,6 @@ func forgedTagLen(kind protocol.AuthKind) int {
 		return 42
 	}
 	return 0
-}
-
-// tokenBucket is a wall-clock token bucket (rate tokens/s, depth burst)
-// with batched refill: the clock is read only when the bucket is about to
-// refuse, so a connection staying inside its burst headroom costs zero
-// time.Now() calls per frame. rate <= 0 means unlimited. Not safe for
-// concurrent use (each connection's read loop owns its bucket).
-type tokenBucket struct {
-	rate, burst float64
-	tokens      float64
-	last        time.Time
-	now         func() time.Time // injectable clock (tests)
-}
-
-func newTokenBucket(rate, burst float64) *tokenBucket {
-	b := &tokenBucket{rate: rate, burst: burst, tokens: burst, now: time.Now}
-	b.last = b.now()
-	return b
-}
-
-func (b *tokenBucket) allow() bool {
-	if b.rate <= 0 {
-		return true
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	// Out of tokens on the fast path: read the clock once and credit the
-	// whole interval since the last refill. Skipped reads lose nothing —
-	// the credit accrues against `last`, not against each call.
-	now := b.now()
-	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens += elapsed * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }
 
 // String summarises the counters for log lines.

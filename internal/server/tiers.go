@@ -17,11 +17,12 @@ import (
 // keep serving honest traffic while an adversary floods — and at fleet
 // scale the flood and the honest traffic belong to *different device
 // classes*. A tier gives each class its own admission budget (a shared
-// tier-wide token bucket plus per-connection buckets, both the batched
-// lazy-refill bucket from the flat limiter), so a flooding class exhausts
-// its own tokens and dies at the cheap gate without touching another
-// class's budget. The tier-isolation loadgen drill (cmd/attest-loadgen
-// -tier-isolation) is the proof, CI-gated in BENCH_server.json.
+// tier-wide token bucket plus per-connection buckets, both refilled on the
+// serve loop's per-frame reading; see bucket.go), so a flooding class
+// exhausts its own tokens and dies at the cheap gate without touching
+// another class's budget. The tier-isolation loadgen drill
+// (cmd/attest-loadgen -tier-isolation) is the proof, CI-gated in
+// BENCH_server.json.
 //
 // Tier resolution order (PROTOCOL.md "Admission tiers"):
 //
@@ -124,7 +125,7 @@ func ParseTierSpecs(specs []string) ([]TierSpec, error) {
 // tier is one admission tier at runtime. The limit fields live behind mu
 // so the admin API can retune a live daemon; the serving path never takes
 // that mutex — it loads the bucket pointer atomically and the bucket
-// carries its own lock (shared budgets need one anyway).
+// carries its own lock, which a refusal does not take.
 type tier struct {
 	name      string
 	class     uint8
@@ -146,31 +147,26 @@ type tier struct {
 	devices  atomic.Int64  // devices currently resolved into this tier
 }
 
-// allow spends one token from the tier-wide budget (always true for an
-// uncapped tier).
-func (t *tier) allow() bool {
+// allow spends one token from the tier-wide budget at monotonic reading
+// now (always true for an uncapped tier).
+func (t *tier) allow(now time.Duration) bool {
 	lb := t.bucket.Load()
-	return lb == nil || lb.allow()
+	return lb == nil || lb.allow(now)
 }
 
 // connBucketAt builds a per-connection bucket with the tier's current
-// per-conn limits on the given clock (nil = wall clock). A nil return
-// means per-conn unlimited. Retunes apply to connections opened after the
+// per-conn limits, full at monotonic reading now. A nil return means
+// per-conn unlimited. Retunes apply to connections opened after the
 // override; established connections keep the bucket they were admitted
 // with (documented admin-API semantics).
-func (t *tier) connBucketAt(now func() time.Time) *tokenBucket {
+func (t *tier) connBucketAt(now time.Duration) *tokenBucket {
 	t.mu.Lock()
 	rate, burst := t.connRate, t.connBurst
 	t.mu.Unlock()
 	if rate <= 0 {
 		return nil
 	}
-	b := newTokenBucket(rate, burst)
-	if now != nil {
-		b.now = now
-		b.last = now()
-	}
-	return b
+	return newTokenBucket(rate, burst, now)
 }
 
 // limits snapshots the tier's current limit configuration.
@@ -202,7 +198,7 @@ func (t *tier) setLimits(rate, burst, connRate, connBurst float64) {
 	t.connBurst = defaultBurst(t.connRate, t.connBurst, 16)
 	rebuilt := (*lockedBucket)(nil)
 	if t.rate > 0 {
-		rebuilt = newLockedBucket(t.rate, t.burst)
+		rebuilt = newLockedBucket(t.rate, t.burst, monoNow())
 	}
 	t.mu.Unlock()
 	t.bucket.Store(rebuilt)
@@ -276,7 +272,7 @@ func buildTiers(pol *TierPolicy, flatRate float64, flatBurst int, reg *obs.Regis
 			admitted:  reg.Counter("attestd_tier_admitted_total", tierAdmittedHelp, obs.L("tier", spec.Name)),
 		}
 		if t.rate > 0 {
-			t.bucket.Store(newLockedBucket(t.rate, t.burst))
+			t.bucket.Store(newLockedBucket(t.rate, t.burst, monoNow()))
 		}
 		if spec.Class != 0 {
 			if ts.byClass[spec.Class] != nil {

@@ -24,7 +24,7 @@ func testTier(t *testing.T, spec TierSpec) *tier {
 }
 
 // TestTierBucketBoundaries walks the tier per-connection bucket through
-// the refill edge cases on a fake clock. These are the admission
+// the refill edge cases on hand-stepped readings. These are the admission
 // decisions the tier-isolation guarantee rides on, so each boundary is
 // pinned exactly: a token materialises at the refill instant, not a
 // frame earlier.
@@ -33,7 +33,7 @@ func TestTierBucketBoundaries(t *testing.T) {
 		name  string
 		rate  float64
 		burst float64
-		// steps alternate: advance the clock, then expect the given
+		// steps alternate: advance the reading, then expect the given
 		// admit/deny sequence.
 		steps []struct {
 			advance time.Duration
@@ -66,11 +66,10 @@ func TestTierBucketBoundaries(t *testing.T) {
 			},
 		},
 		{
-			// A backwards clock step must not mint tokens (elapsed < 0 is
-			// discarded) and must not wedge the bucket. The refill origin is
-			// rewound to the skewed instant, so the clock recovering does
-			// re-credit that interval — but the exposure is capped at one
-			// burst, never skew-proportional.
+			// A backwards reading must not mint tokens and must not wedge
+			// the bucket. A refusal changes nothing, so the refill origin
+			// stays at the last admission: the reading recovering to it
+			// credits nothing, and the skewed interval is never credited.
 			name: "clock skew backwards", rate: 10, burst: 2,
 			steps: []struct {
 				advance time.Duration
@@ -78,7 +77,7 @@ func TestTierBucketBoundaries(t *testing.T) {
 			}{
 				{0, []bool{true, true, false}},
 				{-time.Hour, []bool{false, false}},
-				{time.Hour, []bool{true, true, false}}, // recovery credit caps at burst 2
+				{time.Hour, []bool{false, false, false}}, // back at the refill origin: no credit
 				{100 * time.Millisecond, []bool{true, false}},
 			},
 		},
@@ -94,8 +93,8 @@ func TestTierBucketBoundaries(t *testing.T) {
 			if _, _, _, gotBurst := tr.limits(); gotBurst != defaultBurst(tc.rate, tc.burst, 16) {
 				t.Fatalf("tier connBurst = %v, want %v", gotBurst, defaultBurst(tc.rate, tc.burst, 16))
 			}
-			clk := time.Unix(1_000_000, 0)
-			b := tr.connBucketAt(func() time.Time { return clk })
+			now := 24 * time.Hour
+			b := tr.connBucketAt(now)
 			if b == nil {
 				t.Fatal("connBucketAt returned nil for a rated tier")
 			}
@@ -105,9 +104,9 @@ func TestTierBucketBoundaries(t *testing.T) {
 			b.burst = tc.burst
 			b.tokens = tc.burst
 			for si, step := range tc.steps {
-				clk = clk.Add(step.advance)
+				now += step.advance
 				for fi, want := range step.want {
-					if got := b.allow(); got != want {
+					if got := b.allow(now); got != want {
 						t.Fatalf("step %d frame %d: allow() = %v, want %v", si, fi, got, want)
 					}
 				}
@@ -133,7 +132,7 @@ func TestTierSharedBucketConcurrent(t *testing.T) {
 			defer wg.Done()
 			local := int64(0)
 			for i := 0; i < perG; i++ {
-				if tr.allow() {
+				if tr.allow(monoNow()) {
 					local++
 				}
 			}
@@ -144,7 +143,7 @@ func TestTierSharedBucketConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	// Exactly the burst, plus at most a few refill tokens if the race
-	// detector stretches the loop across wall-clock seconds.
+	// detector stretches the loop across seconds of readings.
 	if admitted < 100 || admitted > 110 {
 		t.Fatalf("admitted %d frames from a burst-100 rate-1 tier bucket, want 100..110", admitted)
 	}
@@ -156,7 +155,7 @@ func TestTierSharedBucketConcurrent(t *testing.T) {
 // TestDefaultTierMatchesFlatLimiter pins the back-compat contract: with
 // no TierPolicy configured, the implicit default tier's per-connection
 // bucket makes byte-identical admission decisions to the old flat
-// limiter for the same (rate, burst) on the same clock.
+// limiter for the same (rate, burst) on the same readings.
 func TestDefaultTierMatchesFlatLimiter(t *testing.T) {
 	const rate, burst = 5, 3
 	ts, err := buildTiers(nil, rate, burst, obs.New())
@@ -170,11 +169,8 @@ func TestDefaultTierMatchesFlatLimiter(t *testing.T) {
 		t.Fatal("implicit default tier has a tier-wide cap; the flat limiter had none")
 	}
 
-	clk := time.Unix(1_000_000, 0)
-	now := func() time.Time { return clk }
-	old := newTokenBucket(rate, burst)
-	old.now = now
-	old.last = clk
+	now := 24 * time.Hour
+	old := newTokenBucket(rate, burst, now)
 	tiered := ts.def.connBucketAt(now)
 	if tiered == nil {
 		t.Fatal("implicit default tier built no per-conn bucket")
@@ -190,8 +186,8 @@ func TestDefaultTierMatchesFlatLimiter(t *testing.T) {
 		199 * time.Millisecond, 1 * time.Millisecond,
 	}
 	for i, adv := range script {
-		clk = clk.Add(adv)
-		if got, want := tiered.allow(), old.allow(); got != want {
+		now += adv
+		if got, want := tiered.allow(now), old.allow(now); got != want {
 			t.Fatalf("frame %d (advance %v): tiered limiter = %v, flat limiter = %v", i, adv, got, want)
 		}
 	}
@@ -277,7 +273,10 @@ func TestTierResolve(t *testing.T) {
 // zero lifts the cap, and the tier-wide bucket is rebuilt immediately.
 func TestTierSetLimits(t *testing.T) {
 	tr := testTier(t, TierSpec{Name: "t", RatePerSec: 100, Burst: 2})
-	if !tr.allow() || !tr.allow() {
+	// One reading for the whole walk: no bucket refills on it, so each
+	// decision depends only on the bucket the override left in place.
+	now := monoNow()
+	if !tr.allow(now) || !tr.allow(now) {
 		t.Fatal("burst-2 tier refused its burst")
 	}
 
@@ -287,7 +286,7 @@ func TestTierSetLimits(t *testing.T) {
 	if rate != 100 || burst != 2 || connRate != 0 || connBurst != 0 {
 		t.Fatalf("keep-all override changed limits to %v/%v/%v/%v", rate, burst, connRate, connBurst)
 	}
-	if !tr.allow() || !tr.allow() || tr.allow() {
+	if !tr.allow(now) || !tr.allow(now) || tr.allow(now) {
 		t.Fatal("rebuilt bucket is not full at the configured burst")
 	}
 
@@ -297,7 +296,7 @@ func TestTierSetLimits(t *testing.T) {
 		t.Fatal("zero-rate override left a tier-wide bucket in place")
 	}
 	for i := 0; i < 1000; i++ {
-		if !tr.allow() {
+		if !tr.allow(now) {
 			t.Fatal("uncapped tier refused a frame")
 		}
 	}

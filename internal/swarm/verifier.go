@@ -20,9 +20,9 @@ type Verifier struct {
 	fleet int // fixed member-index space; survives Without rebuilds
 
 	swarmKey [sha1.Size]byte
-	macs     []*hmac.MAC           // per member, keyed K_Attest
-	memDig   [][sha1.Size]byte     // memoized HMAC(K_i, "swarm-mem-v1" ‖ golden)
-	epoch    []uint32              // expected monitor epoch per member
+	macs     []*hmac.MAC       // per member, keyed K_Attest
+	memDig   [][sha1.Size]byte // memoized HMAC(K_i, "swarm-mem-v1" ‖ golden)
+	epoch    []uint32          // expected monitor epoch per member
 
 	treeID uint64
 	nonce  uint64
