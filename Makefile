@@ -17,13 +17,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race detector over the concurrent campaign-runner stack and the
-# networked transport/daemon/agent stack.
+# Race detector over the concurrent campaign-runner stack, the networked
+# transport/daemon/agent stack and the socket relay impersonator.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/core/... \
 		./internal/transport/... ./internal/server/... ./internal/agent/... \
 		./internal/faultnet/... ./internal/cluster/... ./internal/journal/... \
-		./internal/admin/...
+		./internal/admin/... ./internal/adversary/...
 
 # One benchmark per paper table/figure plus the ablations.
 bench:
@@ -122,7 +122,8 @@ chaos-smoke:
 metrics-smoke:
 	$(GO) test -run TestMetricsSmoke -count=1 -v ./internal/server/
 
-# The end-to-end socket demo: daemon + agent + flood over TCP localhost.
+# The end-to-end socket demo: daemon + relay impersonator + agent over TCP
+# localhost.
 # Exits non-zero unless the gate-rejection and MAC-work counts show the
 # paper's asymmetry, so it doubles as an acceptance check.
 flood-net:

@@ -6,12 +6,10 @@
 //
 //	attestd -listen :7950 -master fleet-secret
 //
-// With -flood N the daemon instead impersonates a verifier: after one
-// honest request per connection it drives N forged/replayed/malformed
-// frames at each connected agent, reproducing the paper's §3.1
-// denial-of-service experiment over a real socket. The periodic status
-// line reports both halves of the read-out: the daemon's own counters and
-// the fleet's aggregated gate statistics.
+// The periodic status line reports both halves of the read-out: the
+// daemon's own counters and the fleet's aggregated gate statistics. The
+// paper's §3.1 verifier impersonator sits on the channel, outside the
+// daemon: see internal/adversary.Relay and go run ./examples/netflood.
 package main
 
 import (
@@ -46,7 +44,7 @@ func (t *tierFlags) Set(v string) error {
 func main() {
 	log.SetFlags(0)
 	var tiers tierFlags
-	flag.Var(&tiers, "tier", "admission tier spec, repeatable: name:class=N,match=prefix[+prefix...],rate=R,burst=B,conn-rate=R,conn-burst=B (replaces -conn-rate as the admission layer)")
+	flag.Var(&tiers, "tier", "admission tier spec, repeatable: name:class=N,match=prefix[+prefix...],rate=R,burst=B,conn-rate=R,conn-burst=B (replaces -conn-rate as the admission layer; the two do not combine)")
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7950", "TCP listen address")
 		freshName = flag.String("freshness", "counter", "freshness policy: none | nonces | counter")
@@ -59,9 +57,6 @@ func main() {
 		connRate    = flag.Float64("conn-rate", 0, "per-connection inbound frames/s budget (0 = unlimited)")
 		fastPath    = flag.Bool("fastpath", false, "grant the O(1) fast path to provers with a clean write monitor")
 		maxDevices  = flag.Int("max-devices", 0, "cap on distinct device identities (0 = default 4096)")
-
-		floodTotal = flag.Int("flood", 0, "impersonator mode: flood each connection with N adversarial frames (0 = honest daemon)")
-		floodRate  = flag.Float64("flood-rate", 0, "flood pacing in frames/s (0 = as fast as the socket accepts)")
 
 		nodeName   = flag.String("node", "", "cluster mode: this daemon's node name (empty = standalone)")
 		peerList   = flag.String("peers", "", "cluster peers as comma-separated name=addr pairs (this node excluded)")
@@ -111,9 +106,6 @@ func main() {
 			log.Fatalf("attestd: deriving ECDSA identity: %v", err)
 		}
 		cfg.ECDSAKey = key
-	}
-	if *floodTotal > 0 {
-		cfg.Flood = &server.FloodConfig{Total: *floodTotal, RatePerSec: *floodRate}
 	}
 	cfg.MaxRatePerSec = *daemonRate
 	if len(tiers) > 0 {
@@ -234,14 +226,10 @@ func main() {
 		}
 	}()
 
-	mode := "honest schedule"
-	if cfg.Flood != nil {
-		mode = "flood impersonator"
-	}
 	if node != nil {
 		log.Printf("attestd: cluster node %s, members %v", *nodeName, node.Membership().Alive())
 	}
-	log.Printf("attestd: listening on %s (%s, freshness=%v auth=%v)", *listen, mode, fresh, auth)
+	log.Printf("attestd: listening on %s (freshness=%v auth=%v)", *listen, fresh, auth)
 	err = s.ListenAndServe(*listen)
 	if ps != nil {
 		// Runs on the main goroutine so the process cannot exit before the

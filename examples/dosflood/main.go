@@ -6,10 +6,9 @@
 // forgery dies after a sub-millisecond tag check. The example prints the
 // duty cycle, energy burn and projected CR2032 lifetime side by side.
 //
-// This is the device-side simulation, below the daemon's admission layer:
-// no server runs here, so no tier gate applies. For the same flood driven
-// through a real daemon — where every frame rides the default admission
-// tier — see examples/netflood.
+// This is the device-side simulation: no socket and no daemon run here.
+// For the same flood over real TCP — the impersonator on the channel
+// between an honest daemon and a networked agent — see examples/netflood.
 //
 //	go run ./examples/dosflood
 package main

@@ -1,15 +1,18 @@
 // Socket-level DoS flood: the paper's §3.1 asymmetry over real TCP.
 //
-// The example starts the verifier daemon (internal/server) in flood mode
-// on a localhost TCP port and connects one prover agent (internal/agent).
-// The daemon first issues a short honest head of authenticated requests —
-// each of which the agent answers with a full memory measurement — and
-// then floods the same socket with forged, replayed and malformed frames.
+// The example runs an honest verifier daemon (internal/server), a prover
+// agent (internal/agent) and, on the channel between them, the verifier
+// impersonator (internal/adversary.Relay), all on localhost TCP ports.
+// The relay forwards the session both ways. Behind the daemon's first
+// authenticated request — which the agent answers with a full memory
+// measurement — it floods the agent with forged, replayed and malformed
+// frames.
 //
 // The agent's trust-anchor gate runs on every inbound frame; the example
 // asserts the paper's asymmetry end-to-end and exits non-zero if it does
 // not hold: every flood frame is rejected at the gate, and the prover's
-// MAC-work count (memory measurements) equals exactly the honest head.
+// MAC-work count (memory measurements) equals exactly the number of
+// honest requests the daemon issued.
 //
 //	go run ./examples/netflood
 package main
@@ -23,11 +26,13 @@ import (
 	"net/http"
 	"time"
 
+	"proverattest/internal/adversary"
 	"proverattest/internal/agent"
 	"proverattest/internal/core"
 	"proverattest/internal/obs"
 	"proverattest/internal/protocol"
 	"proverattest/internal/server"
+	"proverattest/internal/transport"
 )
 
 // scrapeMetrics pulls one sample from the daemon's exposition endpoint.
@@ -40,10 +45,26 @@ func scrapeMetrics(url string) (map[string]float64, error) {
 	return obs.ParseText(resp.Body)
 }
 
-const (
-	honestHead = 3   // authenticated requests before the flood
-	floodTotal = 120 // adversarial frames (forge/replay/malformed cycle)
-)
+// floodTotal is how many adversarial frames the relay injects
+// (forge/replay/malformed cycle).
+const floodTotal = 120
+
+// relay accepts one agent connection on ln, dials the daemon at addr and
+// runs the impersonator between them, reporting how many frames it
+// injected once the session ends.
+func relay(ln net.Listener, addr string, injected chan<- int) {
+	agentNC, err := ln.Accept()
+	ln.Close()
+	if err != nil {
+		log.Fatalf("netflood: relay: %v", err)
+	}
+	daemonNC, err := net.Dial("tcp", addr)
+	if err != nil {
+		log.Fatalf("netflood: relay: %v", err)
+	}
+	injected <- adversary.Relay(transport.NewConn(agentNC, transport.Options{}),
+		transport.NewConn(daemonNC, transport.Options{}), floodTotal)
+}
 
 func main() {
 	log.SetFlags(0)
@@ -55,8 +76,10 @@ func main() {
 		Auth:         protocol.AuthHMACSHA1,
 		MasterSecret: master,
 		Golden:       core.GoldenRAMPattern(),
-		Flood:        &server.FloodConfig{Total: floodTotal, HonestHead: honestHead},
-		Metrics:      reg,
+		// The session's first request goes out at connect; the next tick
+		// never comes during the run, so that one is the honest head.
+		AttestEvery: time.Hour,
+		Metrics:     reg,
 		// A single-tier policy, spelled out: every connection rides the
 		// default admission tier, exactly as it would with no policy at
 		// all. The example asserts that accounting below — the tier admits
@@ -83,8 +106,14 @@ func main() {
 	}
 	go http.Serve(mln, obs.Handler(reg)) //nolint:errcheck
 	metricsURL := "http://" + mln.Addr().String() + "/metrics"
-	fmt.Printf("attestd (flood impersonator) on %s: %d honest requests, then %d adversarial frames\n\n",
-		ln.Addr(), honestHead, floodTotal)
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatalf("netflood: %v", err)
+	}
+	injected := make(chan int, 1)
+	go relay(rln, ln.Addr().String(), injected)
+	fmt.Printf("attestd on %s, relay impersonator on %s: the first honest request, then %d adversarial frames\n\n",
+		ln.Addr(), rln.Addr(), floodTotal)
 
 	a, err := agent.New(agent.Config{
 		DeviceID:     "flooded-sensor",
@@ -96,7 +125,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("netflood: %v", err)
 	}
-	nc, err := net.Dial("tcp", ln.Addr().String())
+	nc, err := net.Dial("tcp", rln.Addr().String())
 	if err != nil {
 		log.Fatalf("netflood: %v", err)
 	}
@@ -109,10 +138,10 @@ func main() {
 	// counters, exactly what an operator's dashboard would poll.
 	deadline := time.Now().Add(30 * time.Second)
 	var midFlood map[string]float64
-	for srv.AgentStats().Received < honestHead+floodTotal {
+	for srv.AgentStats().Received < 1+floodTotal {
 		if time.Now().After(deadline) {
 			log.Fatalf("netflood: timed out: agent reported %d/%d frames",
-				srv.AgentStats().Received, honestHead+floodTotal)
+				srv.AgentStats().Received, 1+floodTotal)
 		}
 		if s, err := scrapeMetrics(metricsURL); err == nil {
 			midFlood = s
@@ -138,28 +167,34 @@ func main() {
 		st.AuthRejected, st.FreshnessRejected, st.Malformed)
 
 	// The asymmetry, asserted: rejected requests cost no attestation MAC
-	// work — MAC-work count equals the honest head exactly, and every
-	// flood frame died at the gate.
+	// work — MAC-work count equals the honest head (the requests the
+	// daemon issued) exactly, and every flood frame died at the gate.
+	honestHead := c.RequestsIssued
 	switch {
+	case honestHead != 1:
+		log.Fatalf("netflood: FAIL: daemon issued %d requests, want the session's first only", honestHead)
 	case st.Measurements != honestHead:
 		log.Fatalf("netflood: FAIL: %d measurements, want %d — flood frames bought MAC work",
 			st.Measurements, honestHead)
 	case st.GateRejected() != floodTotal:
 		log.Fatalf("netflood: FAIL: %d gate rejections, want %d", st.GateRejected(), floodTotal)
+	case st.AuthRejected != floodTotal/3 || st.FreshnessRejected != floodTotal/3 || st.Malformed != floodTotal/3:
+		log.Fatalf("netflood: FAIL: cause split auth %d / fresh %d / malformed %d, want %d each",
+			st.AuthRejected, st.FreshnessRejected, st.Malformed, floodTotal/3)
 	case c.ResponsesAccepted != honestHead:
 		log.Fatalf("netflood: FAIL: daemon accepted %d responses, want %d", c.ResponsesAccepted, honestHead)
-	case final["attestd_responses_accepted_total"] != honestHead:
+	case final["attestd_responses_accepted_total"] != float64(honestHead):
 		log.Fatalf("netflood: FAIL: exposition reports %v accepted responses, want %d",
 			final["attestd_responses_accepted_total"], honestHead)
-	case final["attestd_fleet_measurements"] != honestHead:
+	case final["attestd_fleet_measurements"] != float64(honestHead):
 		log.Fatalf("netflood: FAIL: exposition reports %v fleet measurements, want %d",
 			final["attestd_fleet_measurements"], honestHead)
 	}
 
 	// The admission-tier accounting for a single-tier daemon: everything
 	// the prover sent to the daemon was admitted by the default tier,
-	// nothing was tier-limited (this daemon floods the prover; the
-	// prover's replies are the only daemon-inbound frames).
+	// nothing was tier-limited (the relay floods the prover; the prover's
+	// replies are the only daemon-inbound frames).
 	tiers := srv.AdminTiers()
 	if len(tiers) != 1 || tiers[0].Name != "default" || !tiers[0].Default {
 		log.Fatalf("netflood: FAIL: tier status %+v, want the single default tier", tiers)
@@ -176,10 +211,11 @@ func main() {
 		log.Fatalf("netflood: FAIL: %d tier-limited frames on a single uncapped tier", c.TierLimited)
 	}
 	fmt.Printf(`PASS: the gate held over the socket.
-  - %d honest requests each cost a full ≈754 ms (simulated) memory measurement;
+  - the daemon's one honest request cost a full ≈754 ms (simulated) memory
+    measurement;
   - %d flood frames were rejected by parse/auth/freshness checks alone and
     bought the attacker zero attestation work and zero reply bytes.
-`, honestHead, floodTotal)
+`, floodTotal)
 
 	// Machine-readable summary (field names follow BENCH_transport.json)
 	// for scripts that scrape the example's output.
@@ -196,7 +232,7 @@ func main() {
 		Freshness         string `json:"freshness"`
 		Auth              string `json:"auth"`
 		Transport         string `json:"transport"`
-		FullAttestRounds  int    `json:"full_attest_rounds"`
+		FullAttestRounds  uint64 `json:"full_attest_rounds"`
 		GateRejectFrames  int    `json:"gate_reject_frames"`
 		AgentMeasurements uint64 `json:"agent_measurements"`
 		AgentGateRejected uint64 `json:"agent_gate_rejected"`
@@ -229,11 +265,15 @@ func main() {
 	}
 	fmt.Println(string(summary))
 
-	// Graceful teardown: drain the daemon — stop accepting and issuing,
-	// wait for outstanding verdicts — rather than cutting sockets. This is
-	// the same path a production attestd takes on SIGTERM, and it must
-	// leave zero inflight behind.
+	// Teardown: the agent hangs up, which ends the relay's session, and
+	// the daemon drains — stops accepting and issuing, waits for
+	// outstanding verdicts — rather than cutting sockets. That is the path
+	// the admin API's POST /admin/drain takes, and it must leave zero
+	// inflight behind.
 	cancel()
+	if n := <-injected; n != floodTotal {
+		log.Fatalf("netflood: FAIL: relay injected %d frames, want %d", n, floodTotal)
+	}
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	if err := srv.Shutdown(sctx); err != nil {

@@ -54,37 +54,11 @@ func RunFloodExperiment(auth protocol.AuthKind, ratePerSec float64, duration sim
 	// The impersonator has no key: it sends well-framed requests with
 	// garbage tags and climbing counters. Under AuthNone the empty tag is
 	// "valid" and every frame triggers a measurement.
-	var tagLen int
-	switch auth {
-	case protocol.AuthHMACSHA1:
-		tagLen = 20
-	case protocol.AuthAESCBCMAC:
-		tagLen = 16
-	case protocol.AuthSpeckCBCMAC:
-		tagLen = 8
-	case protocol.AuthECDSA:
-		tagLen = 42
-	}
 	flood := &adversary.Flood{
 		C:        s.C,
 		K:        s.K,
 		Interval: sim.Duration(float64(sim.Second) / ratePerSec),
-		Frame: func(i int) []byte {
-			req := &protocol.AttReq{
-				Freshness: protocol.FreshCounter,
-				Auth:      auth,
-				Nonce:     uint64(i) + 1,
-				Counter:   uint64(i) + 1,
-			}
-			if tagLen > 0 {
-				tag := make([]byte, tagLen)
-				for j := range tag {
-					tag[j] = byte(i*31 + j*7)
-				}
-				req.Tag = tag
-			}
-			return req.Encode()
-		},
+		Frame:    adversary.Forged(protocol.FreshCounter, auth, 1),
 	}
 	end := s.K.Now() + duration
 	flood.Start(0)

@@ -142,34 +142,13 @@ func staggerOffset(period sim.Duration, i, n int) sim.Duration {
 // Returns the flood handles for inspection.
 func (f *Fleet) FloodMembers(floodCount int, ratePerSec float64, auth protocol.AuthKind) []*adversary.Flood {
 	var floods []*adversary.Flood
-	tagLen := map[protocol.AuthKind]int{
-		protocol.AuthHMACSHA1:    20,
-		protocol.AuthAESCBCMAC:   16,
-		protocol.AuthSpeckCBCMAC: 8,
-		protocol.AuthECDSA:       42,
-	}[auth]
 	for i := 0; i < floodCount && i < len(f.Members); i++ {
 		m := f.Members[i]
 		fl := &adversary.Flood{
 			C:        m.C,
 			K:        f.K,
 			Interval: sim.Duration(float64(sim.Second) / ratePerSec),
-			Frame: func(j int) []byte {
-				req := &protocol.AttReq{
-					Freshness: m.Dev.A.Config().Freshness,
-					Auth:      auth,
-					Nonce:     uint64(j) + 1_000_000,
-					Counter:   uint64(j) + 1_000_000,
-				}
-				if tagLen > 0 {
-					tag := make([]byte, tagLen)
-					for t := range tag {
-						tag[t] = byte(j*17 + t*3)
-					}
-					req.Tag = tag
-				}
-				return req.Encode()
-			},
+			Frame:    adversary.Forged(m.Dev.A.Config().Freshness, auth, 1_000_000),
 		}
 		fl.Start(0)
 		floods = append(floods, fl)

@@ -85,26 +85,11 @@ func RunStarvationExperiment(auth protocol.AuthKind, floodRate float64, period, 
 	}
 
 	// The flood.
-	var tagLen int
-	if auth == protocol.AuthHMACSHA1 {
-		tagLen = 20
-	}
 	flood := &adversary.Flood{
 		C:        s.C,
 		K:        s.K,
 		Interval: sim.Duration(float64(sim.Second) / floodRate),
-		Frame: func(i int) []byte {
-			req := &protocol.AttReq{
-				Freshness: protocol.FreshCounter,
-				Auth:      auth,
-				Nonce:     uint64(i) + 1,
-				Counter:   uint64(i) + 1,
-			}
-			if tagLen > 0 {
-				req.Tag = make([]byte, tagLen)
-			}
-			return req.Encode()
-		},
+		Frame:    adversary.Forged(protocol.FreshCounter, auth, 1),
 	}
 	flood.Start(0)
 	s.K.At(end, func() { flood.Stop() })

@@ -106,6 +106,25 @@ func (t *Topology) Children(member int, buf []int) []int {
 	return buf
 }
 
+// Subtree appends the members of root's subtree — root first, then level
+// by level in position order — to buf and returns the extended slice,
+// allocating only when buf lacks capacity. Members not in the tree have
+// no subtree.
+func (t *Topology) Subtree(root int, buf []int) []int {
+	lo := t.Pos(root)
+	if lo < 0 {
+		return buf
+	}
+	// Each level of a subtree is one contiguous run of positions: the
+	// children of positions lo…hi are lo·fanout+1 … hi·fanout+fanout.
+	for hi := lo; lo < len(t.order); lo, hi = lo*t.fanout+1, hi*t.fanout+t.fanout {
+		for p := lo; p <= hi && p < len(t.order); p++ {
+			buf = append(buf, t.order[p])
+		}
+	}
+	return buf
+}
+
 // Depth is member's distance from the root in hops (root = 0), or -1
 // for members not in the tree.
 func (t *Topology) Depth(member int) int {

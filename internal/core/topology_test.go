@@ -172,6 +172,40 @@ func TestTopologyWithout(t *testing.T) {
 	}
 }
 
+// TestTopologySubtree checks the level-run walk against the definition:
+// a member is in root's subtree iff climbing parents from it reaches
+// root. Position order is the walk order the swarm verifier reports
+// missing members in.
+func TestTopologySubtree(t *testing.T) {
+	for _, tc := range []struct{ n, fanout int }{{1, 2}, {7, 2}, {13, 3}, {64, 4}, {9, 1}, {5, 8}} {
+		topo := NewTopology(tc.n, tc.fanout, 42)
+		if tc.n > 2 {
+			topo = topo.Without(topo.MemberAt(tc.n / 2))
+		}
+		for root := -1; root <= tc.n; root++ {
+			var want []int
+			for p := 0; p < topo.Len() && topo.Pos(root) >= 0; p++ {
+				m := topo.MemberAt(p)
+				for a, ok := m, true; ok; a, ok = topo.Parent(a) {
+					if a == root {
+						want = append(want, m)
+						break
+					}
+				}
+			}
+			got := topo.Subtree(root, []int{-7})
+			if got[0] != -7 || len(got) != len(want)+1 {
+				t.Fatalf("n=%d fanout=%d root=%d: Subtree = %v, want [-7] + %v", tc.n, tc.fanout, root, got, want)
+			}
+			for i, m := range want {
+				if got[i+1] != m {
+					t.Fatalf("n=%d fanout=%d root=%d: Subtree = %v, want [-7] + %v", tc.n, tc.fanout, root, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestTopologyChildrenNoAlloc: the per-hop fold path asks for children
 // every round; with a caller-provided buffer the accessor must not
 // allocate.

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"proverattest/internal/core"
 	"proverattest/internal/protocol"
+	"proverattest/internal/transport"
 )
 
 // These tests lock in the daemon's per-frame allocation budget. The frame
@@ -230,5 +233,33 @@ func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(dev, nil, 0, frame) })
 	if dev.lastStats.Load() == nil {
 		t.Fatal("stats report not retained")
+	}
+}
+
+// TestIssueOneAllocs pins the honest issue path: sign and encode the
+// request, send it, arm its abandon timer. A drained pipe stands in for
+// the agent; the high inflight cap and the long timeout keep every
+// measured request outstanding and its timer unfired.
+func TestIssueOneAllocs(t *testing.T) {
+	s, dev := newAllocRig(t, func(c *Config) {
+		c.MaxInflight = 1 << 20
+		c.RequestTimeout = time.Hour
+	})
+	agentNC, nc := net.Pipe()
+	defer agentNC.Close()
+	go io.Copy(io.Discard, agentNC) //nolint:errcheck
+	tc := transport.NewConn(nc, transport.Options{})
+	defer tc.Close()
+	issue := func() {
+		if !s.issueOne(dev, tc) {
+			t.Fatal("issueOne reported a dead connection")
+		}
+	}
+	issue() // warm up
+	if n := testing.AllocsPerRun(1000, issue); n > 11 {
+		t.Errorf("issueOne: %v allocs/request, want <= 11", n)
+	}
+	if got := s.Counters().RequestsIssued; got != 1002 {
+		t.Fatalf("RequestsIssued = %d, want 1002", got)
 	}
 }

@@ -67,9 +67,8 @@ type serverMetrics struct {
 	responsesAccepted *obs.Counter
 	responsesFast     *obs.Counter // accepted responses that took the O(1) fast path
 
-	floodInjected *obs.Counter
-	statsReports  *obs.Counter
-	statsEpochs   *obs.Counter // device counter-reset (reboot) detections
+	statsReports *obs.Counter
+	statsEpochs  *obs.Counter // device counter-reset (reboot) detections
 
 	// Swarm aggregation over the gateway connection: full rounds driven
 	// and bisection probes issued to localize a failed aggregate.
@@ -166,9 +165,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		peerConns:       reg.Counter("attestd_peer_conns_total", "Peer links accepted from other cluster daemons."),
 		rejDaemonRate:   reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "daemon_rate")),
 
-		floodInjected: reg.Counter("attestd_flood_injected_total", "Adversarial frames sent in impersonator mode."),
-		statsReports:  reg.Counter("attestd_stats_reports_total", "Agent gate-counter heartbeats received."),
-		statsEpochs:   reg.Counter("attestd_stats_epochs_total", "Agent counter resets (reboots) detected and folded into the fleet high-water base."),
+		statsReports: reg.Counter("attestd_stats_reports_total", "Agent gate-counter heartbeats received."),
+		statsEpochs:  reg.Counter("attestd_stats_epochs_total", "Agent counter resets (reboots) detected and folded into the fleet high-water base."),
 
 		recoveredExact:  reg.Counter("attestd_recovered_devices_total", recoveredHelp, obs.L("kind", "exact")),
 		recoveredJumped: reg.Counter("attestd_recovered_devices_total", recoveredHelp, obs.L("kind", "jumped")),

@@ -1,10 +1,11 @@
 // Package server implements attestd, the verifier daemon of the networked
 // deployment: it accepts many concurrent prover-agent connections
 // (internal/agent dials in — the NAT-friendly direction for embedded
-// fleets), keeps per-prover protocol.Verifier state behind a sharded lock
-// so freshness decisions stay server-side across reconnects (the TOCTOU
-// argument for stateful verifiers), issues authenticated attestation
-// requests on a schedule, and validates the measurement responses.
+// fleets), keeps per-prover protocol.Verifier state behind each device's
+// own mutex so freshness decisions stay server-side across reconnects (the
+// TOCTOU argument for stateful verifiers), issues authenticated
+// attestation requests on a schedule, and validates the measurement
+// responses.
 //
 // Two defensive layers sit in front of the per-device verifier state,
 // mirroring the prover's cheap-gate-before-expensive-work principle on the
@@ -12,11 +13,6 @@
 // hostile agent cannot monopolise the daemon), and a global inflight cap
 // (the daemon never holds more outstanding requests — each of which costs
 // a golden-image MAC to validate — than it budgeted for).
-//
-// A flood mode turns the daemon into the paper's §3.1 verifier
-// impersonator, driving forged, replayed and malformed frames at connected
-// agents over the real socket so the Table 2 asymmetry can be demonstrated
-// end-to-end over TCP; see FloodConfig.
 package server
 
 import (
@@ -33,49 +29,6 @@ import (
 	"proverattest/internal/obs"
 	"proverattest/internal/protocol"
 	"proverattest/internal/transport"
-)
-
-// FloodConfig turns the daemon into a verifier impersonator: after a short
-// honest head (so the agent performs some legitimate MAC work to compare
-// against), it floods each connected agent with adversarial frames.
-type FloodConfig struct {
-	// Total is the number of flood frames per connection (0 = until the
-	// connection closes).
-	Total int
-	// RatePerSec paces the flood (0 = as fast as the socket accepts).
-	RatePerSec float64
-	// HonestHead is the number of honest requests issued before the flood
-	// (default 1; the replay family needs at least one genuine frame to
-	// capture).
-	HonestHead int
-	// Forge, Replay and Malformed select the frame families to cycle
-	// through. All false selects all three.
-	Forge, Replay, Malformed bool
-}
-
-func (f FloodConfig) families() []floodFamily {
-	if !f.Forge && !f.Replay && !f.Malformed {
-		f.Forge, f.Replay, f.Malformed = true, true, true
-	}
-	var fams []floodFamily
-	if f.Forge {
-		fams = append(fams, floodForge)
-	}
-	if f.Replay {
-		fams = append(fams, floodReplay)
-	}
-	if f.Malformed {
-		fams = append(fams, floodMalformed)
-	}
-	return fams
-}
-
-type floodFamily int
-
-const (
-	floodForge floodFamily = iota
-	floodReplay
-	floodMalformed
 )
 
 // Config assembles the daemon.
@@ -145,10 +98,11 @@ type Config struct {
 	MaxInflight int
 	// PerConnRatePerSec is each connection's inbound-frame budget; frames
 	// over budget are dropped and counted, the connection stays up
-	// (0 = unlimited). When Tiers is set this field is ignored — each
+	// (0 = unlimited). When Tiers is set this field must be zero — each
 	// tier carries its own per-connection budget.
 	PerConnRatePerSec float64
-	// PerConnBurst is the token-bucket depth (default max(16, rate)).
+	// PerConnBurst is the token-bucket depth (default max(16, rate));
+	// like PerConnRatePerSec, it must be zero when Tiers is set.
 	PerConnBurst int
 
 	// Tiers partitions the fleet into admission tiers, each with its own
@@ -178,10 +132,6 @@ type Config struct {
 	// peer that dribbles bytes without ever completing a hello is cut off
 	// here instead of holding an fd for ReadTimeout.
 	HelloTimeout time.Duration
-
-	// Flood, when non-nil, selects impersonator mode instead of the honest
-	// issue schedule.
-	Flood *FloodConfig
 
 	// Swarm, when non-nil, additionally provisions the daemon as a swarm
 	// verifier: aggregate attestation rounds are driven through the
@@ -243,9 +193,8 @@ type Counters struct {
 	ResponsesFastRejected uint64 // fast responses failing the digest/epoch record check
 	ResponsesUnsolicited  uint64 // responses to no outstanding nonce
 
-	FloodInjected uint64 // adversarial frames sent (flood mode)
-	StatsReports  uint64 // agent stats frames received
-	StatsEpochs   uint64 // agent counter resets (reboots) detected
+	StatsReports uint64 // agent stats frames received
+	StatsEpochs  uint64 // agent counter resets (reboots) detected
 
 	SwarmRounds     uint64 // aggregate rounds driven over the gateway connection
 	SwarmBisections uint64 // bisection probes issued to localize failed aggregates
@@ -299,9 +248,8 @@ func (m *serverMetrics) snapshot() Counters {
 		ResponsesFastRejected: fastMismatched,
 		ResponsesUnsolicited:  m.rejUnsolicited.Load(),
 
-		FloodInjected: m.floodInjected.Load(),
-		StatsReports:  m.statsReports.Load(),
-		StatsEpochs:   m.statsEpochs.Load(),
+		StatsReports: m.statsReports.Load(),
+		StatsEpochs:  m.statsEpochs.Load(),
 
 		SwarmRounds:     m.swarmRounds.Load(),
 		SwarmBisections: m.swarmBisections.Load(),
@@ -323,15 +271,14 @@ func (m *serverMetrics) snapshot() Counters {
 // keeps replayed responses from a previous session rejectable.
 //
 // The verifier lives behind the entry's own mutex (the VerifierStore
-// guards only its map); lastReq and lastStats are atomic pointers to
-// immutable values so the stats-heartbeat and flood-replay paths neither
-// take nor lengthen that lock.
+// guards only its map); lastStats is an atomic pointer to an immutable
+// value so the stats-heartbeat path neither takes nor lengthens that
+// lock.
 type deviceState struct {
 	id string
 	mu sync.Mutex
 
-	v       *protocol.Verifier
-	lastReq atomic.Pointer[[]byte] // last honest request frame (replay source; stored slice is never mutated)
+	v *protocol.Verifier
 
 	// handedOff flips (under mu) when a peer daemon has taken this
 	// device's state: the entry is a husk, and issueOne must not advance
@@ -486,6 +433,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.HelloTimeout <= 0 {
 		cfg.HelloTimeout = 5 * time.Second
+	}
+	if cfg.Tiers != nil && (cfg.PerConnRatePerSec != 0 || cfg.PerConnBurst != 0) {
+		return nil, errors.New("server: PerConnRatePerSec/PerConnBurst apply only without Tiers; set each tier's conn-rate=/conn-burst= instead")
 	}
 	if cfg.PerConnBurst <= 0 {
 		cfg.PerConnBurst = 16
@@ -958,15 +908,11 @@ func (s *Server) handleConnInner(nc net.Conn) {
 
 	stop := make(chan struct{})
 	defer close(stop)
-	// The issue/flood goroutine is wg-tracked so Close/Shutdown do not
-	// return while one is mid-send. The Add races no Wait: it happens
-	// under the handler's own wg slot, which Close is still waiting on.
+	// The issue goroutine is wg-tracked so Close/Shutdown do not return
+	// while it is mid-send. The Add races no Wait: it happens under the
+	// handler's own wg slot, which Close is still waiting on.
 	s.wg.Add(1)
-	if s.cfg.Flood != nil {
-		go func() { defer s.wg.Done(); s.floodLoop(dev, tc, stop) }()
-	} else {
-		go func() { defer s.wg.Done(); s.issueLoop(dev, tc, stop) }()
-	}
+	go func() { defer s.wg.Done(); s.issueLoop(dev, tc, stop) }()
 	// The gateway device's connection additionally carries the swarm
 	// aggregation schedule: the whole fleet's collective evidence flows
 	// through this one socket.
@@ -1223,11 +1169,6 @@ func (s *Server) issueOne(dev *deviceState, tc *transport.Conn) bool {
 		s.releaseInflight()
 		return false
 	}
-	if err == nil {
-		// The encoded frame is immutable from here on (Send copies into its
-		// own scratch), so the replay source can share it lock-free.
-		dev.lastReq.Store(&raw)
-	}
 	if err != nil {
 		s.releaseInflight()
 		return true
@@ -1296,108 +1237,13 @@ func (s *Server) issueLoop(dev *deviceState, tc *transport.Conn, stop <-chan str
 	}
 }
 
-// floodLoop is the verifier impersonator: an honest head, then a cycling
-// mix of forged, replayed and malformed frames. Forged frames die at the
-// agent's tag check, replays at the freshness check, malformed frames at
-// the parser — none of them may cost the prover a memory measurement.
-func (s *Server) floodLoop(dev *deviceState, tc *transport.Conn, stop <-chan struct{}) {
-	f := *s.cfg.Flood
-	if f.HonestHead <= 0 {
-		f.HonestHead = 1
-	}
-	for i := 0; i < f.HonestHead; i++ {
-		if !s.issueOne(dev, tc) {
-			return
-		}
-	}
-	fams := f.families()
-	var interval time.Duration
-	if f.RatePerSec > 0 {
-		interval = time.Duration(float64(time.Second) / f.RatePerSec)
-	}
-	for n := 0; f.Total == 0 || n < f.Total; n++ {
-		select {
-		case <-stop:
-			return
-		case <-s.drainCh:
-			return
-		default:
-		}
-		frame := s.floodFrame(dev, fams[n%len(fams)], n)
-		if err := tc.Send(frame); err != nil {
-			if transport.IsTimeout(err) {
-				s.m.evictWriteStall.Inc()
-			}
-			tc.Close()
-			return
-		}
-		s.m.floodInjected.Inc()
-		if interval > 0 {
-			select {
-			case <-stop:
-				return
-			case <-s.drainCh:
-				return
-			case <-time.After(interval):
-			}
-		}
-	}
-}
-
-func (s *Server) floodFrame(dev *deviceState, fam floodFamily, n int) []byte {
-	if fam == floodReplay {
-		if replay := dev.lastReq.Load(); replay != nil && len(*replay) > 0 {
-			return *replay
-		}
-		fam = floodForge // nothing captured yet
-	}
-	if fam == floodMalformed {
-		// A version the prover will never speak: rejected by the frame
-		// parser before any cryptography runs.
-		return []byte{0x41, 0x52, 0xFF, byte(n), byte(n >> 8)}
-	}
-	// Forged: well-framed, policy-matching request with a garbage tag and
-	// a climbing counter, exactly the §3.1 impersonator. Under AuthNone
-	// the empty tag verifies and the flood costs full measurements — the
-	// strawman the paper's gate exists to kill.
-	req := &protocol.AttReq{
-		Freshness: s.cfg.Freshness,
-		Auth:      s.cfg.Auth,
-		Nonce:     1_000_000_007 + uint64(n),
-		Counter:   1_000_000_007 + uint64(n),
-	}
-	if tagLen := forgedTagLen(s.cfg.Auth); tagLen > 0 {
-		tag := make([]byte, tagLen)
-		for j := range tag {
-			tag[j] = byte(n*31 + j*7)
-		}
-		req.Tag = tag
-	}
-	return req.Encode()
-}
-
-// forgedTagLen is the tag size a key-less impersonator pads to, per scheme.
-func forgedTagLen(kind protocol.AuthKind) int {
-	switch kind {
-	case protocol.AuthHMACSHA1:
-		return 20
-	case protocol.AuthAESCBCMAC:
-		return 16
-	case protocol.AuthSpeckCBCMAC:
-		return 8
-	case protocol.AuthECDSA:
-		return 42
-	}
-	return 0
-}
-
 // String summarises the counters for log lines.
 func (c Counters) String() string {
 	return fmt.Sprintf(
-		"conns=%d/%d frames=%d ratelimited=%d issued=%d accepted=%d rejected=%d (malformed=%d mismatched=%d) unsolicited=%d abandoned=%d flood=%d stats=%d epochs=%d",
+		"conns=%d/%d frames=%d ratelimited=%d issued=%d accepted=%d rejected=%d (malformed=%d mismatched=%d) unsolicited=%d abandoned=%d stats=%d epochs=%d",
 		c.ConnsAccepted, c.ConnsRejected, c.FramesIn, c.RateLimited,
 		c.RequestsIssued, c.ResponsesAccepted, c.ResponsesRejected,
 		c.ResponsesMalformed, c.ResponsesMismatched,
-		c.ResponsesUnsolicited, c.RequestsAbandoned, c.FloodInjected,
+		c.ResponsesUnsolicited, c.RequestsAbandoned,
 		c.StatsReports, c.StatsEpochs)
 }

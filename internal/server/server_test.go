@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"proverattest/internal/adversary"
 	"proverattest/internal/agent"
 	"proverattest/internal/core"
 	"proverattest/internal/obs"
@@ -243,16 +244,23 @@ func TestRequestTimeoutAbandonsAndRetries(t *testing.T) {
 	})
 }
 
-// TestFloodAsymmetry is the acceptance demo in test form: a flood of
-// forged, replayed and malformed frames over the socket costs the prover
-// zero memory measurements beyond the honest head.
+// TestFloodAsymmetry is the acceptance demo in test form: the verifier
+// impersonator sits on the socket between an agent and an honest daemon
+// and floods the agent with forged, replayed and malformed frames, which
+// cost the prover zero memory measurements beyond the honest request.
 func TestFloodAsymmetry(t *testing.T) {
 	const floodTotal = 30
-	s := testServer(t, func(c *Config) {
-		c.Flood = &FloodConfig{Total: floodTotal, HonestHead: 1}
-	})
-	client, peer := net.Pipe()
+	// The session's first request goes out at connect; the next tick
+	// never comes, so it is the only honest one.
+	s := testServer(t, func(c *Config) { c.AttestEvery = time.Hour })
+	agentNC, relayDown := net.Pipe()
+	relayUp, peer := net.Pipe()
 	go s.HandleConn(peer)
+	injected := make(chan int, 1)
+	go func() {
+		injected <- adversary.Relay(transport.NewConn(relayDown, transport.Options{}),
+			transport.NewConn(relayUp, transport.Options{}), floodTotal)
+	}()
 
 	a := testAgent(t, "flooded-dev")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -260,7 +268,7 @@ func TestFloodAsymmetry(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		a.Serve(ctx, client) //nolint:errcheck
+		a.Serve(ctx, agentNC) //nolint:errcheck
 	}()
 
 	waitFor(t, 20*time.Second, "all flood frames processed and reported", func() bool {
@@ -268,9 +276,6 @@ func TestFloodAsymmetry(t *testing.T) {
 	})
 	st := s.AgentStats()
 	c := s.Counters()
-	if c.FloodInjected != floodTotal {
-		t.Fatalf("FloodInjected = %d, want %d", c.FloodInjected, floodTotal)
-	}
 	if st.Measurements != 1 {
 		t.Fatalf("Measurements = %d, want 1 — flood frames bought MAC work", st.Measurements)
 	}
@@ -283,11 +288,15 @@ func TestFloodAsymmetry(t *testing.T) {
 		t.Fatalf("cause split = auth %d / fresh %d / malformed %d, want %d each",
 			st.AuthRejected, st.FreshnessRejected, st.Malformed, floodTotal/3)
 	}
-	if c.ResponsesAccepted != 1 {
-		t.Fatalf("ResponsesAccepted = %d, want 1 (the honest head)", c.ResponsesAccepted)
+	if c.RequestsIssued != 1 || c.ResponsesAccepted != 1 {
+		t.Fatalf("daemon issued %d requests and accepted %d responses, want 1 and 1 (the honest request)",
+			c.RequestsIssued, c.ResponsesAccepted)
 	}
 	cancel()
 	<-done
+	if n := <-injected; n != floodTotal {
+		t.Fatalf("relay injected %d frames, want %d", n, floodTotal)
+	}
 }
 
 // TestDeviceCreationRaceSingleInsert: concurrent first contacts for one

@@ -3,6 +3,7 @@ package server
 import (
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -235,6 +236,41 @@ func TestBuildTiersValidation(t *testing.T) {
 	} {
 		if _, err := buildTiers(pol, 0, 0, obs.New()); err == nil {
 			t.Errorf("%s: policy accepted", name)
+		}
+	}
+}
+
+// TestTierPolicyRefusesFlatConnLimits: the flat per-connection fields
+// only configure the implicit single tier, so a config that sets them
+// next to a tier policy would lose them silently. New refuses the pair
+// and points at the per-tier keys; either half alone still builds.
+func TestTierPolicyRefusesFlatConnLimits(t *testing.T) {
+	pol := &TierPolicy{Tiers: []TierSpec{{Name: "gold", Match: []string{"dev-"}}}}
+	for name, tc := range map[string]struct {
+		mutate func(*Config)
+		ok     bool
+	}{
+		"flat only":          {func(c *Config) { c.PerConnRatePerSec, c.PerConnBurst = 50, 8 }, true},
+		"tiers only":         {func(c *Config) { c.Tiers = pol }, true},
+		"tiers + conn rate":  {func(c *Config) { c.Tiers, c.PerConnRatePerSec = pol, 50 }, false},
+		"tiers + conn burst": {func(c *Config) { c.Tiers, c.PerConnBurst = pol, 8 }, false},
+	} {
+		cfg := Config{
+			Freshness: protocol.FreshCounter, Auth: protocol.AuthHMACSHA1,
+			MasterSecret: testMaster, Golden: []byte{1},
+		}
+		tc.mutate(&cfg)
+		s, err := New(cfg)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", name)
+		case !tc.ok && !strings.Contains(err.Error(), "conn-rate=/conn-burst="):
+			t.Errorf("%s: error %q does not name the per-tier keys", name, err)
+		}
+		if s != nil {
+			s.Close()
 		}
 	}
 }

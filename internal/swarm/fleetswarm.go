@@ -222,16 +222,7 @@ func (fs *FleetSwarm) forgeAndRespond(member int, kids []int, done func([]byte))
 	a := fs.F.Members[member].Dev.A
 	frames := make([][]byte, 0, len(kids))
 	for _, c := range kids {
-		fake := protocol.SwarmResp{
-			Root:  uint16(c),
-			Nonce: fs.V.nonce, // colluder echoes the live round's nonce
-		}
-		for i := range fake.Aggregate {
-			fake.Aggregate[i] = byte(c*31 + i*7)
-		}
-		fake.Bitmap = make([]byte, protocol.SwarmBitmapLen(len(fs.F.Members)))
-		fs.markSubtree(c, fake.Bitmap)
-		frames = append(frames, fake.Encode())
+		frames = append(frames, forgedChild(fs.V.Topology(), len(fs.F.Members), c, fs.V.nonce).Encode())
 	}
 	var feed func(i int)
 	feed = func(i int) {
@@ -242,22 +233,4 @@ func (fs *FleetSwarm) forgeAndRespond(member int, kids []int, done func([]byte))
 		a.SwarmFoldChild(frames[i], func(error) { feed(i + 1) })
 	}
 	feed(0)
-}
-
-func (fs *FleetSwarm) markSubtree(root int, bm []byte) {
-	topo := fs.V.Topology()
-	rootPos := topo.Pos(root)
-	if rootPos < 0 {
-		return
-	}
-	fanout := topo.Fanout()
-	for p := rootPos; p < topo.Len(); p++ {
-		q := p
-		for q > rootPos {
-			q = (q - 1) / fanout
-		}
-		if q == rootPos {
-			protocol.SetSwarmBit(bm, topo.MemberAt(p))
-		}
-	}
 }

@@ -91,7 +91,9 @@ func (m *Mesh) collect(member int, req *protocol.SwarmReq, resp *protocol.SwarmR
 		kids := m.Topo.Children(member, nil)
 		switch {
 		case m.ForgeChildren[member]:
-			m.forgeChildren(node, kids)
+			for _, c := range kids {
+				node.AddChild(forgedChild(m.Topo, m.fleet, c, node.nonce)) //nolint:errcheck // forger ignores its own errors
+			}
 		default:
 			for _, c := range kids {
 				var child protocol.SwarmResp
@@ -109,40 +111,22 @@ func (m *Mesh) collect(member int, req *protocol.SwarmReq, resp *protocol.SwarmR
 	return node.FinishInto(resp)
 }
 
-// forgeChildren is the colluding-subtree-root adversary: the node holds
-// only its own key, so the best it can do is mark its children's
-// subtrees present and fold made-up aggregate tags. The presence bits
-// are free to fake; the per-device keyed tags are not.
-func (m *Mesh) forgeChildren(node *Node, kids []int) {
-	for _, c := range kids {
-		fake := protocol.SwarmResp{
-			Root:  uint16(c),
-			Nonce: node.nonce,
-			Depth: 0,
-		}
-		for i := range fake.Aggregate {
-			fake.Aggregate[i] = byte(c*31 + i*7)
-		}
-		fake.Bitmap = make([]byte, protocol.SwarmBitmapLen(m.fleet))
-		m.markSubtree(c, fake.Bitmap)
-		node.AddChild(&fake) //nolint:errcheck // forger ignores its own errors
+// forgedChild is the colluding subtree root's fabrication for child c of
+// a fleet-member tree: the whole of c's subtree marked present, the live
+// round's nonce echoed, a made-up aggregate tag. The colluder holds only
+// its own key, so the presence bits are free to fake; the per-device
+// keyed tags are not.
+func forgedChild(topo *core.Topology, fleet, c int, nonce uint64) *protocol.SwarmResp {
+	fake := &protocol.SwarmResp{
+		Root:   uint16(c),
+		Nonce:  nonce,
+		Bitmap: make([]byte, protocol.SwarmBitmapLen(fleet)),
 	}
-}
-
-// markSubtree sets the presence bit of every member in root's subtree.
-func (m *Mesh) markSubtree(root int, bm []byte) {
-	rootPos := m.Topo.Pos(root)
-	if rootPos < 0 {
-		return
+	for i := range fake.Aggregate {
+		fake.Aggregate[i] = byte(c*31 + i*7)
 	}
-	fanout := m.Topo.Fanout()
-	for p := rootPos; p < m.Topo.Len(); p++ {
-		q := p
-		for q > rootPos {
-			q = (q - 1) / fanout
-		}
-		if q == rootPos {
-			protocol.SetSwarmBit(bm, m.Topo.MemberAt(p))
-		}
+	for _, m := range topo.Subtree(c, nil) {
+		protocol.SetSwarmBit(fake.Bitmap, m)
 	}
+	return fake
 }

@@ -261,24 +261,15 @@ func (v *Verifier) Check(req *protocol.SwarmReq, resp *protocol.SwarmResp) error
 // AppendMissing appends the members of root's subtree whose presence bit
 // is clear in resp to dst and returns the extended slice.
 func (v *Verifier) AppendMissing(root int, resp *protocol.SwarmResp, dst []int) []int {
-	rootPos := v.topo.Pos(root)
-	if rootPos < 0 {
-		return dst
-	}
-	fanout := v.topo.Fanout()
-	for p := rootPos; p < v.topo.Len(); p++ {
-		q := p
-		for q > rootPos {
-			q = (q - 1) / fanout
-		}
-		if q != rootPos {
-			continue
-		}
-		if m := v.topo.MemberAt(p); !protocol.SwarmBit(resp.Bitmap, m) {
-			dst = append(dst, m)
+	n := len(dst)
+	dst = v.topo.Subtree(root, dst)
+	missing := dst[:n]
+	for _, m := range dst[n:] {
+		if !protocol.SwarmBit(resp.Bitmap, m) {
+			missing = append(missing, m)
 		}
 	}
-	return dst
+	return missing
 }
 
 // Cause classifies a localized finding.
