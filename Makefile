@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test race bench bench-compile repro fuzz fuzz-smoke examples clean
 .PHONY: attestd attest-agent attest-loadgen flood-net bench-transport bench-server bench-quiescent bench-swarm bench-cluster metrics-smoke
-.PHONY: cover chaos-smoke cluster-smoke persist-smoke bench-persist admin-smoke bench-tiers bench-unit
+.PHONY: cover chaos-smoke cluster-smoke persist-smoke bench-persist admin-smoke bench-tiers bench-unit bench-smoke
 
 all: build vet test
 
@@ -40,6 +40,13 @@ bench-compile:
 # -short skips its smoke test, which builds attestd and runs every workload.
 bench-unit:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Run every workload of the end-to-end benchmark for 0.5 s against a
+# freshly built attestd, with every accounting check and the check that
+# the metrics computed are exactly those BENCHMARK.json lists (its
+# TestSmoke, which bench-unit skips; about 15 s).
+bench-smoke:
+	cd bench && $(GO) test -run 'TestSmoke$$' -count=1 ./...
 
 # Regenerate every paper artifact and the attack campaigns.
 repro:

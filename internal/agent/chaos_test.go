@@ -310,6 +310,70 @@ func TestDaemonRestartForcesOneFullMAC(t *testing.T) {
 	}
 }
 
+// TestRestartBehindManyStaleCounters: a daemon restarted without its
+// journal issues counters the device has already seen, and the device
+// drops every one as stale, unanswered. The new daemon cannot tell such a
+// request from a full measurement in progress: it waits on the first one
+// for one RequestTimeout, then stops waiting until the device answers and
+// catches up at one counter per tick, not one per RequestTimeout.
+func TestRestartBehindManyStaleCounters(t *testing.T) {
+	fastCfg := func(every time.Duration) func(*server.Config) {
+		return func(c *server.Config) {
+			c.FastPath = true
+			c.AttestEvery = every
+		}
+	}
+	s1, addr1 := chaosServer(t, fastCfg(2*time.Millisecond))
+
+	var target atomic.Value
+	target.Store(addr1)
+	dial := func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", target.Load().(string))
+	}
+	a := chaosAgent(t, "stale-restart-dev", func(c *Config) { c.FastPath = true })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- a.Run(ctx, dial, Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond, Seed: 11})
+	}()
+
+	const stale = 300
+	waitUntil(t, 30*time.Second, "the device to hold many counters", func() bool {
+		return s1.Counters().ResponsesAccepted >= stale
+	})
+	s1.Close()
+
+	// One request per RequestTimeout (500 ms here) would take the new
+	// daemon past two minutes to reach a counter the device accepts.
+	s2, addr2 := chaosServer(t, fastCfg(5*time.Millisecond))
+	target.Store(addr2)
+	t0 := time.Now()
+	waitUntil(t, 30*time.Second, "fast rounds on the new daemon", func() bool {
+		return s2.Counters().ResponsesFast >= 2
+	})
+	c := s2.Counters()
+	if c.RequestsIssued < stale {
+		t.Fatalf("new daemon issued %d requests before its first verdicts, want at least the %d stale counters", c.RequestsIssued, stale)
+	}
+	if c.ResponsesFastRejected != 0 {
+		t.Fatalf("ResponsesFastRejected = %d on the new daemon, want 0", c.ResponsesFastRejected)
+	}
+	t.Logf("caught up past %d+ stale counters in %v (%d requests issued, %d abandoned)",
+		stale, time.Since(t0).Round(time.Millisecond), c.RequestsIssued, c.RequestsAbandoned)
+
+	cancel()
+	select {
+	case err := <-runDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not exit on cancel")
+	}
+}
+
 // TestRunRidesOutDaemonRestart kills the daemon's listener entirely and
 // brings a new daemon up on a fresh address: the outage window exercises
 // dial failures (not just dead conns), and the agent must find the new

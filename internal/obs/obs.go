@@ -6,10 +6,15 @@
 // The design constraint comes from the paper's asymmetry argument: the
 // frames an adversary controls must die at the daemon's gate for ~ns, so
 // the instrumentation of that gate cannot cost more than the gate itself.
-// Recording is therefore atomics on preallocated arrays only — no maps,
-// no interfaces, no fmt, and 0 allocs/op (pinned by alloc tests). All
-// allocation and formatting happens at registration time (startup) or
-// exposition time (a scrape, off the hot path).
+// Recording is therefore plain integers on preallocated arrays — no maps,
+// no interfaces, no fmt, and 0 allocs/op (pinned by alloc tests). A
+// per-frame loop tallies on its own goroutine (HistogramTally, and plain
+// counts for counters) and publishes the tally to the shared series with
+// one atomic add per touched series when its input runs dry; recording
+// straight into a series is an atomic add, for paths that run once per
+// round rather than once per frame. All allocation and formatting happens
+// at registration time (startup) or exposition time (a scrape, off the
+// hot path).
 //
 // Series identity (name plus rendered label pairs) is fixed at
 // registration: a labelled family like rejects{cause=...} is N separate
@@ -128,13 +133,67 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	v := int64(d)
+	h.counts[h.bucket(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+}
+
+// bucket is the index of the bucket v (ns) falls in.
+func (h *Histogram) bucket(v int64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	return i
+}
+
+// HistogramTally accumulates observations of one Histogram in plain
+// integers, for a loop that observes on a single goroutine: Observe
+// touches no shared memory, and Flush publishes everything observed since
+// the last Flush with one atomic add per touched bucket plus the count and
+// the sum. The histogram shows the tally's observations only once it is
+// flushed. A tally is not safe for concurrent use; the tally of a nil
+// *Histogram (and the zero HistogramTally) records nothing.
+type HistogramTally struct {
+	h      *Histogram
+	counts []uint64 // len(h.bounds)+1, non-cumulative
+	count  uint64
+	sum    int64
+}
+
+// Tally returns an empty tally that flushes into h.
+func (h *Histogram) Tally() HistogramTally {
+	if h == nil {
+		return HistogramTally{}
+	}
+	return HistogramTally{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one duration in the tally.
+func (t *HistogramTally) Observe(d time.Duration) {
+	if t.h == nil {
+		return
+	}
+	v := int64(d)
+	t.counts[t.h.bucket(v)]++
+	t.count++
+	t.sum += v
+}
+
+// Flush adds the tally to its histogram and empties it.
+func (t *HistogramTally) Flush() {
+	if t.count == 0 {
+		return
+	}
+	for i, n := range t.counts {
+		if n != 0 {
+			t.h.counts[i].Add(n)
+			t.counts[i] = 0
+		}
+	}
+	t.h.count.Add(t.count)
+	t.h.sum.Add(t.sum)
+	t.count, t.sum = 0, 0
 }
 
 // Count reads the total number of observations.

@@ -233,6 +233,7 @@ func TestRecordingZeroAllocs(t *testing.T) {
 	h := r.Histogram("hot_seconds", "", nil)
 	var nilC *Counter
 	var nilH *Histogram
+	tally := h.Tally()
 	for name, fn := range map[string]func(){
 		"Counter.Inc":           func() { c.Inc() },
 		"Counter.Add":           func() { c.Add(3) },
@@ -242,11 +243,71 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		"Histogram.overflow":    func() { h.Observe(time.Minute) },
 		"nil Counter.Inc":       func() { nilC.Inc() },
 		"nil Histogram.Observe": func() { nilH.Observe(time.Second) },
+		"HistogramTally.Observe+Flush": func() {
+			tally.Observe(17 * time.Microsecond)
+			tally.Flush()
+		},
 	} {
 		fn() // warm up
 		if n := testing.AllocsPerRun(1000, fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
 		}
+	}
+}
+
+// TestHistogramTallyMatchesObserve: a tally flushed into one histogram
+// leaves exactly the buckets, count and sum that observing every sample
+// straight into another leaves, across several flushes; observations
+// show only once flushed; and a nil histogram's tally records nothing.
+func TestHistogramTallyMatchesObserve(t *testing.T) {
+	bounds := []time.Duration{time.Microsecond, time.Millisecond, time.Second}
+	direct := New()
+	want := direct.Histogram("lat_seconds", "", bounds)
+	tallied := New()
+	got := tallied.Histogram("lat_seconds", "", bounds)
+	tally := got.Tally()
+	samples := []time.Duration{0, 500 * time.Nanosecond, time.Microsecond, 3 * time.Microsecond,
+		time.Millisecond, 2 * time.Second, 999 * time.Millisecond, time.Hour}
+	for round := 0; round < 3; round++ {
+		for i, d := range samples {
+			want.Observe(d * time.Duration(round+1))
+			tally.Observe(d * time.Duration(round+1))
+			if i == 3 && round == 1 {
+				tally.Flush() // a flush mid-batch changes nothing either
+			}
+		}
+		if round == 0 && got.Count() != 0 {
+			t.Fatalf("unflushed tally already shows %d observations", got.Count())
+		}
+		tally.Flush()
+		tally.Flush() // an empty flush is a no-op
+	}
+	if got.Count() != want.Count() || got.Sum() != want.Sum() {
+		t.Fatalf("tally count/sum = %d/%v, per-sample observe = %d/%v", got.Count(), got.Sum(), want.Count(), want.Sum())
+	}
+	for i := range want.counts {
+		if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
+			t.Fatalf("bucket %d: tally %d, per-sample observe %d", i, g, w)
+		}
+	}
+	var a, b strings.Builder
+	if err := direct.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tallied.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("expositions differ:\n%s\nvs\n%s", a.String(), b.String())
+	}
+
+	var nilH *Histogram
+	for _, nt := range []HistogramTally{nilH.Tally(), {}} {
+		nt.Observe(time.Second)
+		nt.Flush()
+	}
+	if nilH.Count() != 0 {
+		t.Fatal("nil histogram recorded a tally")
 	}
 }
 

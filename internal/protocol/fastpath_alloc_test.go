@@ -138,6 +138,65 @@ func TestFastWithheldWhileFullPending(t *testing.T) {
 	}
 }
 
+// TestMeasuringFull: a pending full request counts as in measurement
+// until it is answered, an answer to it is refused (the request itself
+// stays pending for the genuine answer), or it is abandoned; a fast
+// request never does. Once a request has been abandoned before the prover
+// ever answered, none counts until an answer arrives.
+func TestMeasuringFull(t *testing.T) {
+	v, fr, _ := fastPair(t)
+	newReq := func() *AttReq {
+		t.Helper()
+		req, err := v.NewRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	answer := func(req *AttReq) {
+		t.Helper()
+		var resp AttResp
+		fr.RespondInto(req, &resp)
+		if ok, err := v.CheckDecodedResponse(&resp); !ok {
+			t.Fatalf("honest answer to nonce %d refused: %v", req.Nonce, err)
+		}
+	}
+
+	lost := newReq()
+	if !v.MeasuringFull(lost.Nonce) {
+		t.Fatal("unanswered full request not in measurement")
+	}
+	v.Abandon(lost.Nonce) // unanswered, before the prover ever answered
+	req := newReq()
+	if v.MeasuringFull(req.Nonce) {
+		t.Fatal("request counted as in measurement after one was lost before any answer")
+	}
+	answer(req)
+
+	v.DropFastState()
+	req = newReq()
+	if !v.MeasuringFull(req.Nonce) {
+		t.Fatal("unanswered full request not in measurement once the prover has answered")
+	}
+	if ok, _ := v.CheckDecodedResponse(&AttResp{Nonce: req.Nonce, Counter: req.Counter}); ok {
+		t.Fatal("wrong measurement accepted")
+	}
+	if v.MeasuringFull(req.Nonce) || !v.IsPending(req.Nonce) {
+		t.Fatal("after a refused answer the request must stay pending but not count as in measurement")
+	}
+	answer(req)
+
+	fast := newReq()
+	if !fast.AllowFast || v.MeasuringFull(fast.Nonce) {
+		t.Fatal("fast request counted as a full measurement")
+	}
+	v.Abandon(fast.Nonce)
+	v.DropFastState()
+	if req = newReq(); !v.MeasuringFull(req.Nonce) {
+		t.Fatal("a request lost after the prover answered stopped the wait")
+	}
+}
+
 // TestFastTaintFallsBackToFullMAC: a store to attested memory costs the
 // prover its fast-path privilege until the next full measurement.
 func TestFastTaintFallsBackToFullMAC(t *testing.T) {

@@ -46,6 +46,14 @@ type Verifier struct {
 	// have come first, so the prover dropped them.
 	armedBy, lastFull uint64
 
+	// answered is set once the device has answered one of this verifier's
+	// requests, so its counters are known to reach the device. lost is
+	// set when a request is abandoned unanswered before that: the
+	// counters may be behind the device's (a daemon restarted without its
+	// journal), and the device drops such requests as stale instead of
+	// measuring them. See MeasuringFull.
+	answered, lost bool
+
 	// Stats for scenario reporting.
 	Issued       uint64
 	Accepted     uint64
@@ -118,6 +126,11 @@ type pendingAtt struct {
 	// allocations under hostile response traffic.
 	wantFast     [sha1.Size]byte
 	haveFastWant bool
+
+	// refused is set when an answer claiming this request was refused.
+	// The request stays pending — a forged answer must not retire the
+	// genuine one — but it no longer counts as in measurement.
+	refused bool
 }
 
 // NewRequest builds and signs the next attestation request. When the fast
@@ -220,11 +233,13 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 			v.Rejected++
 			v.FastRejected++
 			v.haveFast = false
+			p.refused = true
 			return false, ErrFastMismatch
 		}
 		delete(v.pending, resp.Nonce)
 		v.Accepted++
 		v.FastAccepted++
+		v.answered = true
 		return true, nil
 	}
 	if !p.haveWant {
@@ -236,10 +251,12 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 		// A deviating prover must stay on the full MAC until a verified
 		// full measurement re-establishes trust.
 		v.haveFast = false
+		p.refused = true
 		return false, ErrMeasurementMismatch
 	}
 	delete(v.pending, resp.Nonce)
 	v.Accepted++
+	v.answered = true
 	// A verified full measurement from a monitor-equipped prover (epoch
 	// nonzero: the rearm that preceded this measurement) establishes the
 	// record fast responses will be checked against.
@@ -268,6 +285,27 @@ func (v *Verifier) DropFastState() bool {
 // record, the precondition for granting fast-path permission (see
 // NewRequest).
 func (v *Verifier) HasFastState() bool { return v.haveFast }
+
+// MeasuringFull reports whether the device can be taken to be measuring
+// the request nonce, a full-measurement one: the fast path is on, the
+// request withheld fast permission, it still awaits its answer, and no
+// answer to it has been refused. NewRequest grants fast permission only
+// once the newest full request has been verified, so a caller issuing on
+// a schedule shorter than the device's full measurement holds its next
+// request while its last one is being measured; otherwise every request
+// demands one more full MAC, the newest is never the one verified and the
+// fast path never engages. Once a request has been abandoned before the
+// device ever answered, MeasuringFull reports false until the device
+// answers: the verifier's counters may be behind the device's, an
+// unanswered request may have been dropped as stale, and waiting on each
+// would slow the counters' catch-up to one per abandon timeout.
+func (v *Verifier) MeasuringFull(nonce uint64) bool {
+	if !v.allowFast || (v.lost && !v.answered) {
+		return false
+	}
+	p, ok := v.pending[nonce]
+	return ok && !p.req.AllowFast && !p.refused
+}
 
 // NewCommand builds and signs a service command (secure update, secure
 // erase, clock sync). Commands draw from the same nonce, counter and
@@ -325,6 +363,7 @@ func (v *Verifier) CheckCommandResponse(raw []byte) (*CommandResp, error) {
 	}
 	delete(v.pendingCmds, resp.Nonce)
 	v.Accepted++
+	v.answered = true
 	return resp, nil
 }
 
@@ -349,6 +388,9 @@ func (v *Verifier) Abandon(nonce uint64) bool {
 	}
 	delete(v.pending, nonce)
 	v.Expired++
+	if !v.answered {
+		v.lost = true
+	}
 	return true
 }
 

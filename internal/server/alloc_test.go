@@ -54,7 +54,9 @@ func allocsPerFrame(t *testing.T, name string, limit float64, fn func()) {
 func TestHandleFrameUnknownZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(dev, nil, 0, frame) })
+	var g gateTally
+	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	s.publish(&g)
 	if s.Counters().UnknownFrames == 0 {
 		t.Fatal("unknown frames not counted")
 	}
@@ -67,7 +69,9 @@ func TestHandleFrameRateLimitedZeroAllocs(t *testing.T) {
 	bucket := newTokenBucket(1e-9, 1, 0)
 	bucket.tokens = 0
 	frame := []byte{0xDE, 0xAD}
-	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(dev, bucket, time.Second, frame) })
+	var g gateTally
+	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(&g, dev, bucket, time.Second, frame) })
+	s.publish(&g)
 	if s.Counters().RateLimited == 0 {
 		t.Fatal("rate-limited frames not counted")
 	}
@@ -81,7 +85,9 @@ func TestHandleFrameTierLimitedZeroAllocs(t *testing.T) {
 		c.Tiers = &TierPolicy{Tiers: []TierSpec{{Name: "bulk", RatePerSec: 1e-9, Burst: 1}}}
 	})
 	frame := []byte{0xDE, 0xAD}
-	allocsPerFrame(t, "tier-limited frame", 0, func() { s.handleFrame(dev, nil, time.Second, frame) })
+	var g gateTally
+	allocsPerFrame(t, "tier-limited frame", 0, func() { s.handleFrame(&g, dev, nil, time.Second, frame) })
+	s.publish(&g)
 	if c := s.Counters(); c.TierLimited == 0 || c.TierLimited+c.UnknownFrames != c.FramesIn {
 		t.Fatalf("tier-limited frames not counted: %v", c)
 	}
@@ -95,7 +101,9 @@ func TestHandleFrameDaemonRateZeroAllocs(t *testing.T) {
 		c.MaxRatePerSec, c.MaxRateBurst = 1e-9, 1
 	})
 	frame := []byte{0xDE, 0xAD}
-	allocsPerFrame(t, "daemon-rate frame", 0, func() { s.handleFrame(dev, nil, time.Second, frame) })
+	var g gateTally
+	allocsPerFrame(t, "daemon-rate frame", 0, func() { s.handleFrame(&g, dev, nil, time.Second, frame) })
+	s.publish(&g)
 	if c := s.Counters(); c.DaemonRateLimited == 0 || c.DaemonRateLimited+c.UnknownFrames != c.FramesIn {
 		t.Fatalf("daemon-rate frames not counted: %v", c)
 	}
@@ -106,7 +114,9 @@ func TestHandleFrameUnsolicitedRespZeroAllocs(t *testing.T) {
 	// A well-formed response answering no outstanding nonce: decode-into,
 	// shard-locked map miss, static-error reject.
 	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
-	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(dev, nil, 0, frame) })
+	var g gateTally
+	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	s.publish(&g)
 	if s.Counters().ResponsesUnsolicited == 0 {
 		t.Fatal("unsolicited responses not counted")
 	}
@@ -116,7 +126,9 @@ func TestHandleFrameMalformedRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	// Classifies as a response (magic + version) but fails strict framing.
 	frame := (&protocol.AttResp{Nonce: 1}).Encode()[:respTruncated]
-	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(dev, nil, 0, frame) })
+	var g gateTally
+	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	s.publish(&g)
 	c := s.Counters()
 	if c.ResponsesMalformed == 0 || c.MalformedFrames == 0 {
 		t.Fatal("malformed responses not counted on their distinct cause series")
@@ -138,7 +150,9 @@ func TestHandleFrameMalformedStatsDistinctCause(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	frame = frame[:len(frame)-1] // classifies as stats, fails length check
-	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(dev, nil, 0, frame) })
+	var g gateTally
+	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	s.publish(&g)
 	c := s.Counters()
 	if c.MalformedFrames == 0 {
 		t.Fatal("malformed stats frames not counted as malformed")
@@ -179,7 +193,8 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 	}
 	var resp protocol.AttResp
 	fr.RespondInto(req, &resp)
-	s.handleFrame(dev, nil, 0, resp.Encode())
+	var g gateTally
+	s.handleFrame(&g, dev, nil, 0, resp.Encode())
 	if c := s.Counters(); c.ResponsesAccepted != 1 || c.ResponsesFast != 0 {
 		t.Fatalf("arming round: %+v", c)
 	}
@@ -202,7 +217,8 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 		frames = append(frames, r.Encode())
 	}
 	i := 0
-	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(dev, nil, 0, frames[i]); i++ })
+	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(&g, dev, nil, 0, frames[i]); i++ })
+	s.publish(&g)
 	c := s.Counters()
 	if c.ResponsesFast != uint64(i) || c.ResponsesRejected != 0 {
 		t.Fatalf("after %d fast frames: %+v", i, c)
@@ -219,10 +235,11 @@ const respTruncated = 20
 func BenchmarkHandleFrameUnsolicited(b *testing.B) {
 	s, dev := newAllocRig(b)
 	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
+	var g gateTally
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.handleFrame(dev, nil, 0, frame)
+		s.handleFrame(&g, dev, nil, 0, frame)
 	}
 }
 
@@ -230,7 +247,8 @@ func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	// One decoded StatsReport object per heartbeat frame is the budget.
-	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(dev, nil, 0, frame) })
+	var g gateTally
+	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(&g, dev, nil, 0, frame) })
 	if dev.lastStats.Load() == nil {
 		t.Fatal("stats report not retained")
 	}
@@ -250,8 +268,9 @@ func TestIssueOneAllocs(t *testing.T) {
 	go io.Copy(io.Discard, agentNC) //nolint:errcheck
 	tc := transport.NewConn(nc, transport.Options{})
 	defer tc.Close()
+	var last uint64
 	issue := func() {
-		if !s.issueOne(dev, tc) {
+		if !s.issueOne(dev, tc, &last) {
 			t.Fatal("issueOne reported a dead connection")
 		}
 	}

@@ -137,7 +137,7 @@ func (s *Server) servePeer(tc *transport.Conn, helloFrame []byte) {
 		case cluster.PeerStateReq:
 			id, err := cluster.DecodeStateReq(frame)
 			if err != nil {
-				s.m.rejUnknown.Inc()
+				s.m.rejects[causeUnknownKind].Inc()
 				return
 			}
 			if tc.Send(s.extractState(id)) != nil {
@@ -146,7 +146,7 @@ func (s *Server) servePeer(tc *transport.Conn, helloFrame []byte) {
 		case cluster.PeerStatePush:
 			id, snap, err := cluster.DecodeStatePush(frame)
 			if err != nil {
-				s.m.rejUnknown.Inc()
+				s.m.rejects[causeUnknownKind].Inc()
 				return
 			}
 			s.cl.StoreReplica(id, snap)
@@ -156,7 +156,7 @@ func (s *Server) servePeer(tc *transport.Conn, helloFrame []byte) {
 			}
 		default:
 			// A peer speaking garbage is cut off; the link redials clean.
-			s.m.rejUnknown.Inc()
+			s.m.rejects[causeUnknownKind].Inc()
 			return
 		}
 	}

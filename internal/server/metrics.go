@@ -6,12 +6,51 @@ import (
 	"proverattest/internal/transport"
 )
 
+// rejectCause is why the serving gate refused a frame. handleFrame and
+// the handlers it dispatches to return one; causeNone is a frame the gate
+// admitted and its handler accepted. The causes index the reject series
+// (serverMetrics.rejects) and a serve loop's tally (gateTally).
+type rejectCause uint8
+
+const (
+	causeNone              rejectCause = iota
+	causeRateLimited                   // over the per-connection token budget
+	causeTierLimited                   // over a tier-wide admission budget
+	causeUnknownKind                   // no recognised frame kind
+	causeMalformedResponse             // classified as a response, failed strict decode
+	causeBadMeasurement                // decoded fine, measurement/tag mismatch
+	causeUnsolicited                   // response answering no outstanding nonce
+	causeMalformedStats                // classified as stats, failed strict decode
+	causeCommandRejected               // service-command response rejected
+	causeFastMismatch                  // fast response failed the digest/epoch record check
+	causeMalformedSwarm                // classified as a swarm response, failed strict decode
+	causeDaemonRate                    // over the daemon-wide budget (MaxRatePerSec)
+	numCauses
+)
+
+// causeLabels are the cause label values of attestd_rejects_total.
+var causeLabels = [numCauses]string{
+	causeRateLimited:       "rate_limited",
+	causeTierLimited:       "tier_limited",
+	causeUnknownKind:       "unknown_kind",
+	causeMalformedResponse: "malformed_response",
+	causeBadMeasurement:    "bad_measurement",
+	causeUnsolicited:       "unsolicited",
+	causeMalformedStats:    "malformed_stats",
+	causeCommandRejected:   "command_rejected",
+	causeFastMismatch:      "fast_mismatch",
+	causeMalformedSwarm:    "malformed_swarm",
+	causeDaemonRate:        "daemon_rate",
+}
+
 // serverMetrics is the daemon's observability surface: every counter the
 // serving path touches, as obs instruments registered once at
 // construction. The hot-path contract is inherited from internal/obs —
-// recording is atomics on preallocated state, 0 allocs/op — so the gate's
-// reject paths stay as cheap instrumented as they were bare (pinned by
-// the alloc tests in alloc_test.go).
+// recording allocates nothing, and the per-frame counts are tallied in
+// plain integers by each serve loop and published when its read buffer
+// runs dry (gateTally) — so the gate's reject paths stay as cheap
+// instrumented as they were bare (pinned by the alloc tests in
+// alloc_test.go).
 //
 // Reject causes are deliberately distinct series of one family
 // (attestd_rejects_total{cause=...}): the paper's asymmetry argument is
@@ -49,20 +88,13 @@ type serverMetrics struct {
 
 	framesIn *obs.Counter
 
-	// Per-frame rejects by cause (attestd_rejects_total).
-	rejRateLimited    *obs.Counter // over the per-connection token budget
-	rejTierLimited    *obs.Counter // over a tier-wide admission budget
-	rejUnknown        *obs.Counter // no recognised frame kind
-	rejMalformedResp  *obs.Counter // classified as a response, failed strict decode
-	rejBadMeasurement *obs.Counter // decoded fine, measurement/tag mismatch
-	rejUnsolicited    *obs.Counter // response answering no outstanding nonce
-	rejMalformedStats *obs.Counter // classified as stats, failed strict decode
-	rejCommand        *obs.Counter // service-command response rejected
-	rejFastMismatch   *obs.Counter // fast response failed the digest/epoch record check
-	rejMalformedSwarm *obs.Counter // classified as a swarm response, failed strict decode
+	// Per-frame rejects by cause (attestd_rejects_total), indexed by
+	// rejectCause; rejects[causeNone] is nil.
+	rejects [numCauses]*obs.Counter
 
 	requestsIssued    *obs.Counter
 	inflightThrottled *obs.Counter
+	issueDeferred     *obs.Counter // ticks held while the device's newest full request is unanswered
 	requestsAbandoned *obs.Counter
 	responsesAccepted *obs.Counter
 	responsesFast     *obs.Counter // accepted responses that took the O(1) fast path
@@ -81,7 +113,6 @@ type serverMetrics struct {
 	handoffsReplica *obs.Counter // devices adopted from a replicated snapshot (jumped)
 	stateExports    *obs.Counter // device states handed off to a requesting peer
 	peerConns       *obs.Counter // peer links accepted from other daemons
-	rejDaemonRate   *obs.Counter // frames dropped by the daemon-wide budget
 
 	// Persistence: journal-recovered devices adopted on reconnect, and the
 	// latency of the fsyncs the durability policy forces.
@@ -118,7 +149,7 @@ const (
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	const connRejHelp = "Connections refused before any device state existed, by cause."
-	return &serverMetrics{
+	m := &serverMetrics{
 		connsAccepted: reg.Counter("attestd_conns_accepted_total", "Connections whose hello matched the provisioned policy."),
 
 		connRejIO:         reg.Counter("attestd_conns_rejected_total", connRejHelp, obs.L("cause", "io")),
@@ -138,19 +169,9 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 
 		framesIn: reg.Counter("attestd_frames_total", "Frames read off sockets after the hello."),
 
-		rejRateLimited:    reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "rate_limited")),
-		rejTierLimited:    reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "tier_limited")),
-		rejUnknown:        reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "unknown_kind")),
-		rejMalformedResp:  reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "malformed_response")),
-		rejBadMeasurement: reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "bad_measurement")),
-		rejUnsolicited:    reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "unsolicited")),
-		rejMalformedStats: reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "malformed_stats")),
-		rejCommand:        reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "command_rejected")),
-		rejFastMismatch:   reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "fast_mismatch")),
-		rejMalformedSwarm: reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "malformed_swarm")),
-
 		requestsIssued:    reg.Counter("attestd_requests_issued_total", "Honest attestation requests sent."),
 		inflightThrottled: reg.Counter("attestd_inflight_throttled_total", "Issue ticks skipped at the global inflight cap."),
+		issueDeferred:     reg.Counter("attestd_issue_deferred_total", "Issue ticks that sent nothing because the fast path is on and the device's newest full-measurement request is unanswered."),
 		requestsAbandoned: reg.Counter("attestd_requests_abandoned_total", "Requests retired by timeout."),
 		responsesAccepted: reg.Counter("attestd_responses_accepted_total", "Responses whose measurement matched the golden image."),
 		responsesFast:     reg.Counter("attestd_responses_fast_total", "Accepted responses that took the O(1) fast path (clean write monitor, no memory MAC)."),
@@ -163,7 +184,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		handoffsReplica: reg.Counter("attestd_handoffs_total", handoffsHelp, obs.L("kind", "replica")),
 		stateExports:    reg.Counter("attestd_state_exports_total", "Device states handed off to a requesting peer (move semantics)."),
 		peerConns:       reg.Counter("attestd_peer_conns_total", "Peer links accepted from other cluster daemons."),
-		rejDaemonRate:   reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", "daemon_rate")),
 
 		statsReports: reg.Counter("attestd_stats_reports_total", "Agent gate-counter heartbeats received."),
 		statsEpochs:  reg.Counter("attestd_stats_epochs_total", "Agent counter resets (reboots) detected and folded into the fleet high-water base."),
@@ -182,6 +202,10 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 
 		transport: transport.NewMetrics(reg),
 	}
+	for c := causeNone + 1; c < numCauses; c++ {
+		m.rejects[c] = reg.Counter("attestd_rejects_total", rejectsHelp, obs.L("cause", causeLabels[c]))
+	}
+	return m
 }
 
 // registerGauges exposes the daemon state that already has an owner —

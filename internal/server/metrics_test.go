@@ -119,6 +119,7 @@ func TestMetricsSmoke(t *testing.T) {
 		"attestd_draining",
 		// Fast-path and device-table series.
 		"attestd_responses_fast_total",
+		"attestd_issue_deferred_total",
 		`attestd_rejects_total{cause="fast_mismatch"}`,
 		`attestd_rejects_total{cause="malformed_swarm"}`,
 		"attestd_swarm_rounds_total",

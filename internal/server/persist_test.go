@@ -187,11 +187,12 @@ func TestGateRejectZeroAllocsOverPersistentStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	unknown := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	var g gateTally
 	allocsPerFrame(t, "unknown frame over persistent store", 0,
-		func() { s.handleFrame(dev, nil, 0, unknown) })
+		func() { s.handleFrame(&g, dev, nil, 0, unknown) })
 	unsolicited := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
 	allocsPerFrame(t, "unsolicited response over persistent store", 0,
-		func() { s.handleFrame(dev, nil, 0, unsolicited) })
+		func() { s.handleFrame(&g, dev, nil, 0, unsolicited) })
 }
 
 // --- satellite 2: fleet stats monotonicity under churn --------------------
@@ -215,6 +216,7 @@ func TestAgentStatsMonotoneUnderChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var g gateTally
 		var v uint64
 		for {
 			select {
@@ -225,7 +227,7 @@ func TestAgentStatsMonotoneUnderChurn(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				v += 10
 				frame := (&protocol.StatsReport{Received: v, Measurements: v}).Encode()
-				s.handleFrame(dev, nil, 0, frame)
+				s.handleFrame(&g, dev, nil, 0, frame)
 			}
 			v = 1 // reboot: cumulative counters restart near zero
 		}

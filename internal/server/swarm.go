@@ -306,24 +306,21 @@ func (s *Server) swarmQuery(tc *transport.Conn, stop <-chan struct{}, req *proto
 // the outstanding nonce is unsolicited. Runs without the coordinator
 // mutex — the round blocks on the waiter channel while holding it, so
 // delivery goes through the lock-free pend pointer instead.
-func (s *Server) onSwarmResp(dev *deviceState, frame []byte) (rejected bool) {
+func (s *Server) onSwarmResp(dev *deviceState, frame []byte) rejectCause {
 	sc := s.swarm
 	if sc == nil || dev.id != sc.gateway {
-		s.m.rejUnsolicited.Inc()
-		return true
+		return causeUnsolicited
 	}
 	// Decode into a stack value, then copy out: the retained response
 	// escapes, and its bitmap is already a copy (DecodeSwarmRespInto
 	// never aliases frame, which is only valid for this call).
 	var tmp protocol.SwarmResp
 	if err := protocol.DecodeSwarmRespInto(frame, &tmp); err != nil {
-		s.m.rejMalformedSwarm.Inc()
-		return true
+		return causeMalformedSwarm
 	}
 	w := sc.pend.Load()
 	if w == nil || tmp.Nonce != w.nonce {
-		s.m.rejUnsolicited.Inc()
-		return true
+		return causeUnsolicited
 	}
 	resp := new(protocol.SwarmResp)
 	*resp = tmp
@@ -331,5 +328,5 @@ func (s *Server) onSwarmResp(dev *deviceState, frame []byte) (rejected bool) {
 	case w.ch <- resp:
 	default: // duplicate for this nonce: first delivery wins
 	}
-	return false
+	return causeNone
 }

@@ -13,7 +13,8 @@ import (
 // codec's zero-allocation contract; a nil *Metrics disables recording
 // entirely. One Metrics may be shared by many Conns — the daemon wires a
 // single set across every accepted connection, so the series aggregate
-// fleet-wide traffic.
+// fleet-wide traffic. Received frames and bytes arrive once per read
+// buffer (see Options.Metrics).
 type Metrics struct {
 	FramesIn  *obs.Counter // frames successfully read
 	FramesOut *obs.Counter // frames successfully written
@@ -47,15 +48,19 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// recvDone records the outcome of one Recv. io.EOF is a clean shutdown
-// between frames and counts as nothing.
-func (m *Metrics) recvDone(frame []byte, err error) {
+// recvDone publishes frames received, bytes (prefix + payload) in all.
+func (m *Metrics) recvDone(frames, bytes uint64) {
 	if m == nil {
 		return
 	}
-	if err == nil {
-		m.FramesIn.Inc()
-		m.BytesIn.Add(uint64(prefixSize + len(frame)))
+	m.FramesIn.Add(frames)
+	m.BytesIn.Add(bytes)
+}
+
+// recvFailed records the cause of one failed Recv. io.EOF is a clean
+// shutdown between frames and counts as nothing.
+func (m *Metrics) recvFailed(err error) {
+	if m == nil {
 		return
 	}
 	switch {

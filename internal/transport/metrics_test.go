@@ -54,6 +54,59 @@ func TestConnMetricsAccounting(t *testing.T) {
 	}
 }
 
+// TestRecvCountsPublishWhenBufferRunsDry: frames received while another
+// whole frame is buffered are counted on the Conn and reach the shared
+// series, exactly, once the buffer runs dry — before the next receive can
+// wait. Close publishes what a caller left unreceived behind.
+func TestRecvCountsPublishWhenBufferRunsDry(t *testing.T) {
+	m := NewMetrics(obs.New())
+	var wire []byte
+	payloads := []string{"one", "two", "three"}
+	for _, p := range payloads {
+		wire = AppendFrame(wire, []byte(p))
+	}
+	c := NewConn(streamConn{bytes.NewReader(append(wire, wire...))}, Options{Metrics: m})
+	var sum uint64
+	for i := range payloads {
+		frame, more, err := c.RecvSharedBuffered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += uint64(prefixSize + len(frame))
+		// One read took in the whole stream: the buffer runs dry only
+		// after the sixth frame.
+		if !more || m.FramesIn.Load() != 0 {
+			t.Fatalf("frame %d: more=%v, %d frames published before the buffer ran dry", i, more, m.FramesIn.Load())
+		}
+	}
+	for i := range payloads {
+		frame, more, err := c.RecvSharedBuffered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += uint64(prefixSize + len(frame))
+		if more != (i < 2) {
+			t.Fatalf("frame %d: more=%v", i+3, more)
+		}
+	}
+	if m.FramesIn.Load() != 6 || m.BytesIn.Load() != sum {
+		t.Fatalf("dry buffer published frames=%d bytes=%d, want 6/%d", m.FramesIn.Load(), m.BytesIn.Load(), sum)
+	}
+
+	m = NewMetrics(obs.New())
+	c = NewConn(streamConn{bytes.NewReader(wire)}, Options{Metrics: m})
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if m.FramesIn.Load() != 0 {
+		t.Fatal("published with two whole frames still buffered")
+	}
+	c.Close()
+	if m.FramesIn.Load() != 1 || m.BytesIn.Load() != uint64(prefixSize+len(payloads[0])) {
+		t.Fatalf("Close published frames=%d bytes=%d, want the one frame received", m.FramesIn.Load(), m.BytesIn.Load())
+	}
+}
+
 func TestConnMetricsReadCauses(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -178,9 +178,12 @@ type Options struct {
 	// WriteTimeout bounds one Send call (0 = no deadline).
 	WriteTimeout time.Duration
 	// Metrics, when non-nil, receives per-frame byte and error accounting
-	// (see NewMetrics). Recording is atomics-only, preserving the codec's
+	// (see NewMetrics). Recording allocates nothing, preserving the codec's
 	// zero-allocation contract; the standalone ReadFrame/WriteFrame
-	// helpers never record.
+	// helpers never record. Received frames and bytes are counted on the
+	// Conn and published whenever the read buffer holds no whole frame
+	// (so the next receive may wait) and when the Conn closes: exact while
+	// the reader waits, at most one read behind while it is busy.
 	Metrics *Metrics
 }
 
@@ -200,6 +203,10 @@ type Conn struct {
 	in   []byte // read buffer: in[r:w] is read off nc but not yet returned
 	r, w int
 	rbuf []byte // RecvShared's reusable payload buffer (guarded by rmu)
+
+	// framesIn and bytesIn count what Recv returned since the last publish
+	// to Options.Metrics (guarded by rmu).
+	framesIn, bytesIn uint64
 
 	wmu  sync.Mutex
 	wbuf []byte // Send's reusable prefix+payload image (guarded by wmu)
@@ -278,55 +285,76 @@ func (c *Conn) RecvShared() ([]byte, error) {
 	return frame, err
 }
 
-// RecvSharedBuffered is RecvShared that also reports whether the frame
-// came from the buffer: buffered is true when it was already whole in the
-// read buffer, so the call armed no deadline and did not wait on the
-// connection. A serving loop uses the bit to tell its own per-frame work
-// from time spent waiting for the peer.
-func (c *Conn) RecvSharedBuffered() (frame []byte, buffered bool, err error) {
+// RecvSharedBuffered is RecvShared that also reports whether another
+// whole frame is buffered behind the one returned: when more is true, the
+// next receive returns that frame without arming a deadline or waiting
+// on the connection. A serving loop uses the bit twice: the next frame's
+// time is its own per-frame work, not time spent waiting for the peer,
+// and when the bit is false it publishes what it tallied before it may
+// wait.
+func (c *Conn) RecvSharedBuffered() (frame []byte, more bool, err error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	if c.rbuf == nil {
 		c.rbuf = make([]byte, 0, 512)
 	}
-	frame, buffered, err = c.recvLocked(c.rbuf)
+	frame, more, err = c.recvLocked(c.rbuf)
 	if frame != nil {
 		c.rbuf = frame // adopt any growth for the next frame
 	}
-	return frame, buffered, err
+	return frame, more, err
 }
 
 // recvLocked returns the next frame, copied into scratch (grown as
-// ReadFrameInto grows it), and whether it came from the buffer. Bytes
-// leave the read buffer only as part of a returned frame.
-func (c *Conn) recvLocked(scratch []byte) (frame []byte, buffered bool, err error) {
-	frame, buffered, err = c.next(scratch)
-	c.opt.Metrics.recvDone(frame, err)
-	return frame, buffered, err
+// ReadFrameInto grows it), and whether another whole frame is buffered
+// behind it. Bytes leave the read buffer only as part of a returned
+// frame. The frame is counted on the Conn, and the counts are published
+// once no whole frame is left.
+func (c *Conn) recvLocked(scratch []byte) (frame []byte, more bool, err error) {
+	frame, more, err = c.next(scratch)
+	if err != nil {
+		c.opt.Metrics.recvFailed(err)
+	} else {
+		c.framesIn++
+		c.bytesIn += uint64(prefixSize + len(frame))
+	}
+	if !more {
+		c.publishLocked()
+	}
+	return frame, more, err
 }
 
-func (c *Conn) next(scratch []byte) ([]byte, bool, error) {
-	need := prefixSize // bytes the next frame occupies, once its prefix is in
-	buffered := true
+// publishLocked adds the receive counts to Options.Metrics and zeroes
+// them. The caller holds rmu.
+func (c *Conn) publishLocked() {
+	if c.framesIn == 0 {
+		return
+	}
+	c.opt.Metrics.recvDone(c.framesIn, c.bytesIn)
+	c.framesIn, c.bytesIn = 0, 0
+}
+
+// next returns the next frame and whether another whole frame is
+// buffered behind it.
+func (c *Conn) next(scratch []byte) (frame []byte, more bool, err error) {
+	waited := false
 	for {
-		have := c.w - c.r
-		if have >= prefixSize {
-			n, err := payloadLen(c.in[c.r:], c.opt.MaxFrame)
-			if err != nil {
-				return nil, buffered, err
-			}
-			need = prefixSize + n
-			if have >= need {
-				frame := sized(scratch, n)
-				copy(frame, c.in[c.r+prefixSize:])
-				c.r += need
-				return frame, buffered, nil
-			}
+		need, whole, err := c.head()
+		if err != nil {
+			return nil, false, err
 		}
-		if buffered {
+		if whole {
+			frame := sized(scratch, need-prefixSize)
+			copy(frame, c.in[c.r+prefixSize:])
+			c.r += need
+			// A bad prefix behind the frame is the next receive's error.
+			_, more, _ = c.head()
+			return frame, more, nil
+		}
+		if !waited {
 			// This Recv has to wait for bytes: arm the deadline once,
 			// before its first read.
-			buffered = false
+			waited = true
 			if c.opt.ReadTimeout > 0 {
 				if err := c.nc.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
 					return nil, false, err
@@ -334,6 +362,7 @@ func (c *Conn) next(scratch []byte) ([]byte, bool, error) {
 			}
 		}
 		if err := c.fill(need); err != nil {
+			have := c.w - c.r
 			switch {
 			case !errors.Is(err, io.EOF) || have == 0:
 				return nil, false, err
@@ -344,6 +373,21 @@ func (c *Conn) next(scratch []byte) ([]byte, bool, error) {
 			}
 		}
 	}
+}
+
+// head parses the frame at the front of the read buffer: the bytes it
+// occupies, prefix included (prefixSize while the prefix itself is
+// incomplete), and whether they are all buffered.
+func (c *Conn) head() (need int, whole bool, err error) {
+	have := c.w - c.r
+	if have < prefixSize {
+		return prefixSize, false, nil
+	}
+	n, err := payloadLen(c.in[c.r:], c.opt.MaxFrame)
+	if err != nil {
+		return 0, false, err
+	}
+	return prefixSize + n, have >= prefixSize+n, nil
 }
 
 // fill makes one read from the connection into the read buffer. It first
@@ -381,8 +425,15 @@ func (c *Conn) SetReadTimeout(d time.Duration) {
 }
 
 // Close closes the underlying connection, unblocking any pending Send or
-// Recv.
-func (c *Conn) Close() error { return c.nc.Close() }
+// Recv, then waits for a receive in progress to return and publishes the
+// receive counts not yet published.
+func (c *Conn) Close() error {
+	err := c.nc.Close()
+	c.rmu.Lock()
+	c.publishLocked()
+	c.rmu.Unlock()
+	return err
+}
 
 // LocalAddr reports the underlying connection's local address.
 func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }

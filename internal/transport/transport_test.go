@@ -196,9 +196,10 @@ func (c *deadlineConn) SetReadDeadline(t time.Time) error {
 	return c.Conn.SetReadDeadline(t)
 }
 
-// TestRecvArmsDeadlineOnlyToWait: frames already whole in the read buffer
-// are returned without arming a deadline and report buffered; the Recv
-// that has to wait for bytes arms exactly one.
+// TestRecvArmsDeadlineOnlyToWait: the Recv that has to wait for bytes
+// arms exactly one read deadline; frames already whole in the read buffer
+// are returned without arming one. Each frame reports more while another
+// whole frame is buffered behind it.
 func TestRecvArmsDeadlineOnlyToWait(t *testing.T) {
 	an, bn := net.Pipe()
 	defer an.Close()
@@ -212,15 +213,15 @@ func TestRecvArmsDeadlineOnlyToWait(t *testing.T) {
 	}
 	go an.Write(wire) //nolint:errcheck
 	for i, want := range []string{"one", "two", "three"} {
-		frame, buffered, err := rx.RecvSharedBuffered()
+		frame, more, err := rx.RecvSharedBuffered()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(frame) != want || buffered != (i > 0) {
-			t.Fatalf("frame %d = %q buffered=%v, want %q buffered=%v", i, frame, buffered, want, i > 0)
+		if string(frame) != want || more != (i < 2) {
+			t.Fatalf("frame %d = %q more=%v, want %q more=%v", i, frame, more, want, i < 2)
 		}
-	}
-	if dc.armed != 1 {
-		t.Fatalf("%d read deadlines armed for one read, want 1", dc.armed)
+		if dc.armed != 1 {
+			t.Fatalf("after frame %d: %d read deadlines armed for one read, want 1", i, dc.armed)
+		}
 	}
 }
