@@ -11,13 +11,13 @@
 package main
 
 import (
+	"crypto/sha1"
 	"fmt"
 	"log"
 
 	"proverattest/internal/adversary"
 	"proverattest/internal/anchor"
 	"proverattest/internal/core"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 	"proverattest/internal/sim"

@@ -13,12 +13,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"fmt"
 	"log"
 
 	"proverattest/internal/anchor"
 	"proverattest/internal/core"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 	"proverattest/internal/services"

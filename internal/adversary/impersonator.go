@@ -1,11 +1,11 @@
 package adversary
 
 import (
+	"crypto/aes"
+	"crypto/sha1"
 	"sync"
 
-	"proverattest/internal/crypto/aes"
 	"proverattest/internal/crypto/ecc"
-	"proverattest/internal/crypto/hmac"
 	"proverattest/internal/crypto/speck"
 	"proverattest/internal/protocol"
 	"proverattest/internal/transport"
@@ -21,7 +21,7 @@ import (
 func forgedTagLen(auth protocol.AuthKind) int {
 	switch auth {
 	case protocol.AuthHMACSHA1:
-		return hmac.TagSize
+		return sha1.Size
 	case protocol.AuthAESCBCMAC:
 		return aes.BlockSize
 	case protocol.AuthSpeckCBCMAC:

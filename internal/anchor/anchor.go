@@ -10,13 +10,13 @@
 package anchor
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"proverattest/internal/crypto/cost"
 	"proverattest/internal/crypto/ecc"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 )

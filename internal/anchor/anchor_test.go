@@ -2,10 +2,10 @@ package anchor
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"testing"
 
 	"proverattest/internal/crypto/cost"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 	"proverattest/internal/sim"

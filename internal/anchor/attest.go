@@ -1,11 +1,11 @@
 package anchor
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
 	"encoding/binary"
 
 	"proverattest/internal/crypto/cost"
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 )
@@ -171,10 +171,11 @@ func (a *Anchor) storeDigest(e *mcu.Exec, meas [sha1.Size]byte) {
 // measureAtomic is the uninterruptible measurement: one pass over the
 // whole measured region inside the current job. Nothing can execute on
 // the core between the first byte read and the response — which is
-// exactly why it is TOCTOU-free.
+// exactly why it is TOCTOU-free, and why the region can be hashed in
+// place.
 func (a *Anchor) measureAtomic(e *mcu.Exec, req *protocol.AttReq, key []byte) []byte {
 	epoch := a.monitorRearm(e)
-	mem, fault := e.Read(a.cfg.MeasuredRegion.Start, a.cfg.MeasuredRegion.Size)
+	mem, fault := e.View(a.cfg.MeasuredRegion.Start, a.cfg.MeasuredRegion.Size)
 	if fault != nil {
 		a.Stats.Faults++
 		return nil
@@ -210,7 +211,7 @@ func (a *Anchor) measureChunked(e *mcu.Exec, req *protocol.AttReq, key []byte, r
 	// with the chunk chain re-latches the bit, so a torn measurement can
 	// never back a fast response.
 	epoch := a.monitorRearm(e)
-	state := hmac.NewSHA1(key)
+	state := hmac.New(sha1.New, key)
 	state.Write(req.SignedBytes()) //nolint:errcheck // never fails
 	// The fixed HMAC overhead (key pads, finalisation) and the request
 	// echo are charged here; chunks then pay the pure per-block cost.
@@ -225,7 +226,9 @@ func (a *Anchor) measureChunked(e *mcu.Exec, req *protocol.AttReq, key []byte, r
 		var out []byte
 		var aborted bool
 		a.M.Submit(a.CodeAttest, func(e *mcu.Exec) {
-			data, fault := e.Read(region.Start+mcu.Addr(offset), n)
+			// Read and hashed within one job: the chunk is hashed in
+			// place.
+			data, fault := e.View(region.Start+mcu.Addr(offset), n)
 			if fault != nil {
 				a.Stats.Faults++
 				aborted = true
@@ -234,8 +237,8 @@ func (a *Anchor) measureChunked(e *mcu.Exec, req *protocol.AttReq, key []byte, r
 			e.Tick(cost.SHA1HMACPerBlock * cost.Cycles((int(n)+63)/64))
 			state.Write(data) //nolint:errcheck
 			if offset+n == region.Size {
-				var meas [20]byte
-				copy(meas[:], state.Sum(nil))
+				var meas [sha1.Size]byte
+				state.Sum(meas[:0])
 				a.Stats.Measurements++
 				a.storeDigest(e, meas)
 				out = (&protocol.AttResp{

@@ -19,9 +19,10 @@ package anchor
 // aggregate mismatch and is localized by bisection.
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
+
 	"proverattest/internal/crypto/cost"
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 )
@@ -43,7 +44,7 @@ type swarmState struct {
 	ownOnly bool
 	nonce   uint64
 	own     [sha1.Size]byte
-	fold    *hmac.MAC
+	fold    *protocol.MAC
 	folded  int
 	depth   uint8
 	bitmap  []byte
@@ -93,8 +94,7 @@ func (a *Anchor) swarmBegin(e *mcu.Exec, frame []byte) error {
 	// anchor's protected state (provisioned at manufacture).
 	signed := req.SignedBytes()
 	e.Tick(cost.HMACSHA1(len(signed)))
-	tag := hmac.SHA1(a.cfg.SwarmKey, signed)
-	if !hmac.Equal(tag[:], req.Tag) {
+	if !hmac.Equal(protocol.NewMAC(a.cfg.SwarmKey).Tag(signed)[:], req.Tag) {
 		a.Stats.AuthRejected++
 		return errSwarmAuth
 	}
@@ -122,7 +122,7 @@ func (a *Anchor) swarmBegin(e *mcu.Exec, frame []byte) error {
 		a.Stats.FastResponses++
 	}
 
-	mac := hmac.NewSHA1(key)
+	mac := protocol.NewMAC(key)
 	e.Tick(cost.HMACSHA1(len(signed) + 6 + sha1.Size))
 	protocol.SwarmOwnTagInto(mac, signed, a.cfg.SwarmIndex, epoch, &a.swarm.digest, &a.swarm.own)
 
@@ -171,7 +171,7 @@ func (a *Anchor) swarmOwnDigest(e *mcu.Exec, key []byte) (epoch uint32, fast boo
 	} else {
 		epoch = a.swarm.epoch + 1
 	}
-	mem, f := e.Read(a.cfg.MeasuredRegion.Start, a.cfg.MeasuredRegion.Size)
+	mem, f := e.View(a.cfg.MeasuredRegion.Start, a.cfg.MeasuredRegion.Size)
 	if f != nil {
 		return 0, false, f
 	}

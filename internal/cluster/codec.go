@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/protocol"
 )
 

@@ -7,12 +7,12 @@
 package core
 
 import (
+	"crypto/sha1"
 	"fmt"
 
 	"proverattest/internal/anchor"
 	"proverattest/internal/crypto/cost"
 	"proverattest/internal/crypto/ecc"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/energy"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"

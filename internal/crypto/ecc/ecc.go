@@ -3,16 +3,16 @@
 // for authenticating attestation requests: at ~170 ms per verification on a
 // 24 MHz core, merely checking a signature is itself a denial-of-service
 // (Table 1, §4.1). The curve arithmetic is written from scratch on
-// math/big; only SHA-1/HMAC from this repository are used for hashing.
+// math/big, since the standard library has no secp160r1; hashing uses
+// crypto/sha1 and crypto/hmac.
 package ecc
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
 	"errors"
 	"fmt"
 	"math/big"
-
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 )
 
 // Curve parameters for secp160r1 (SEC 2, §2.4.2):
@@ -191,11 +191,12 @@ func GenerateKey(seed []byte) (*PrivateKey, error) {
 // expandToScalar produces a candidate scalar below 2^168 reduced into the
 // order's bit range.
 func expandToScalar(seed, label []byte) *big.Int {
-	var stream []byte
-	block := hmac.SHA1(seed, label)
-	stream = append(stream, block[:]...)
-	block = hmac.SHA1(seed, append(label, 0x01))
-	stream = append(stream, block[:]...)
+	m := hmac.New(sha1.New, seed)
+	m.Write(label)
+	stream := m.Sum(nil)
+	m.Reset()
+	m.Write(append(label, 0x01))
+	stream = m.Sum(stream)
 	v := new(big.Int).SetBytes(stream[:OrderByteLen])
 	// bits2int (RFC 6979 §2.3.2): the shift is by the excess of the octet
 	// string's bit capacity over qlen, not of the value's bit length —

@@ -1,13 +1,20 @@
-package hmac
+// Package hmac_test holds the HMAC-SHA1 known answers (RFC 2202) as a
+// conformance test of what replaced the from-scratch HMAC that lived
+// here: crypto/hmac over crypto/sha1 for one-shot tags, and
+// protocol.MAC, the keyed HMAC the verifier, the authenticators and the
+// swarm hold per key and Reset per use.
+package hmac_test
 
 import (
 	"bytes"
-	stdhmac "crypto/hmac"
-	stdsha1 "crypto/sha1"
+	"crypto/hmac"
+	"crypto/sha1"
 	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"proverattest/internal/protocol"
 )
 
 // RFC 2202 HMAC-SHA1 test vectors.
@@ -42,21 +49,32 @@ func mustHex(s string) []byte {
 	return b
 }
 
+// oneShot is HMAC-SHA1(key, msg) from a freshly keyed crypto/hmac.
+func oneShot(key, msg []byte) []byte {
+	m := hmac.New(sha1.New, key)
+	m.Write(msg)
+	return m.Sum(nil)
+}
+
 func TestRFC2202Vectors(t *testing.T) {
 	for i, tc := range rfc2202 {
-		got := SHA1(tc.key, tc.data)
-		if hex.EncodeToString(got[:]) != tc.want {
-			t.Errorf("vector %d: tag %x, want %s", i+1, got, tc.want)
+		if got := oneShot(tc.key, tc.data); hex.EncodeToString(got) != tc.want {
+			t.Errorf("vector %d: crypto/hmac tag %x, want %s", i+1, got, tc.want)
+		}
+		if got := protocol.NewMAC(tc.key).Tag(tc.data); hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("vector %d: held MAC tag %x, want %s", i+1, got, tc.want)
 		}
 	}
 }
 
+// TestAgainstStdlib cross-checks the held MAC, reused for a second
+// message, against a freshly keyed crypto/hmac over random inputs.
 func TestAgainstStdlib(t *testing.T) {
-	f := func(key, msg []byte) bool {
-		ours := SHA1(key, msg)
-		m := stdhmac.New(stdsha1.New, key)
-		m.Write(msg)
-		return bytes.Equal(ours[:], m.Sum(nil))
+	f := func(key, msg1, msg2 []byte) bool {
+		m := protocol.NewMAC(key)
+		first := *m.Tag(msg1)
+		second := *m.Tag(msg2)
+		return bytes.Equal(first[:], oneShot(key, msg1)) && bytes.Equal(second[:], oneShot(key, msg2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -66,9 +84,9 @@ func TestAgainstStdlib(t *testing.T) {
 func TestStreamingMatchesOneShot(t *testing.T) {
 	key := []byte("attestation-key")
 	msg := []byte(strings.Repeat("prover memory contents ", 40))
-	want := SHA1(key, msg)
+	want := oneShot(key, msg)
 
-	m := NewSHA1(key)
+	m := hmac.New(sha1.New, key)
 	for i := 0; i < len(msg); i += 7 {
 		end := i + 7
 		if end > len(msg) {
@@ -76,25 +94,25 @@ func TestStreamingMatchesOneShot(t *testing.T) {
 		}
 		m.Write(msg[i:end])
 	}
-	if got := m.Sum(nil); !bytes.Equal(got, want[:]) {
+	if got := m.Sum(nil); !bytes.Equal(got, want) {
 		t.Fatalf("streamed tag %x, want %x", got, want)
 	}
 }
 
 func TestReset(t *testing.T) {
 	key := []byte("k")
-	m := NewSHA1(key)
+	m := hmac.New(sha1.New, key)
 	m.Write([]byte("first message"))
 	m.Reset()
 	m.Write([]byte("abc"))
-	want := SHA1(key, []byte("abc"))
-	if got := m.Sum(nil); !bytes.Equal(got, want[:]) {
+	want := oneShot(key, []byte("abc"))
+	if got := m.Sum(nil); !bytes.Equal(got, want) {
 		t.Fatalf("tag after Reset = %x, want %x", got, want)
 	}
 }
 
 func TestSumIsRepeatable(t *testing.T) {
-	m := NewSHA1([]byte("key"))
+	m := hmac.New(sha1.New, []byte("key"))
 	m.Write([]byte("msg"))
 	a := m.Sum(nil)
 	b := m.Sum(nil)
@@ -108,32 +126,32 @@ func TestEqual(t *testing.T) {
 	b := []byte{1, 2, 3, 4}
 	c := []byte{1, 2, 3, 5}
 	short := []byte{1, 2, 3}
-	if !Equal(a, b) {
+	if !hmac.Equal(a, b) {
 		t.Error("Equal(a, a-copy) = false")
 	}
-	if Equal(a, c) {
+	if hmac.Equal(a, c) {
 		t.Error("Equal(a, c) = true for differing tags")
 	}
-	if Equal(a, short) {
+	if hmac.Equal(a, short) {
 		t.Error("Equal(a, short) = true for different lengths")
 	}
-	if !Equal(nil, nil) {
+	if !hmac.Equal(nil, nil) {
 		t.Error("Equal(nil, nil) = false")
 	}
 }
 
 func TestKeySensitivity(t *testing.T) {
 	msg := []byte("the same message")
-	t1 := SHA1([]byte("key-one"), msg)
-	t2 := SHA1([]byte("key-two"), msg)
-	if t1 == t2 {
+	t1 := protocol.NewMAC([]byte("key-one")).Tag(msg)
+	t2 := protocol.NewMAC([]byte("key-two")).Tag(msg)
+	if *t1 == *t2 {
 		t.Fatal("different keys produced identical tags")
 	}
 }
 
-// TestResetReuseMatchesFresh pins the key-schedule cache: a MAC that is
-// Reset and reused across many messages must produce exactly the tags a
-// freshly keyed MAC would, including for long (hashed) keys.
+// TestResetReuseMatchesFresh pins the held-key contract: a MAC that is
+// reused across many messages must produce exactly the tags a freshly
+// keyed HMAC would, including for long (hashed) keys.
 func TestResetReuseMatchesFresh(t *testing.T) {
 	keys := [][]byte{
 		[]byte("k"),
@@ -141,69 +159,60 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 		bytes.Repeat([]byte{0xaa}, 80), // > block size: hashed first
 	}
 	for _, key := range keys {
-		m := NewSHA1(key)
+		m := protocol.NewMAC(key)
 		for i := 0; i < 32; i++ {
 			msg := bytes.Repeat([]byte{byte(i)}, i*7+1)
-			m.Reset()
-			m.Write(msg)
-			want := SHA1(key, msg)
-
-			got := m.Sum(nil)
-			if !bytes.Equal(got, want[:]) {
-				t.Fatalf("key %d msg %d: reused Sum = %x, want %x", len(key), i, got, want)
-			}
-			var into [TagSize]byte
-			m.SumInto(&into)
-			if into != want {
-				t.Fatalf("key %d msg %d: reused SumInto = %x, want %x", len(key), i, into, want)
+			want := oneShot(key, msg)
+			if got := m.Tag(msg); !bytes.Equal(got[:], want) {
+				t.Fatalf("key %d msg %d: reused tag = %x, want %x", len(key), i, got, want)
 			}
 		}
 	}
 }
 
 // TestResetReuseAllocs pins the hot-path contract the verifier gate and
-// the swarm fold rely on: Reset + Write + SumInto on a held MAC is
-// allocation-free.
+// the swarm fold rely on: a held MAC tags a heap message without
+// allocating, and so does crypto/hmac itself once Reset has saved the
+// keyed state, as long as the tag lands in a buffer the caller holds.
 func TestResetReuseAllocs(t *testing.T) {
-	m := NewSHA1([]byte("attestation-key"))
 	msg := []byte("R|nonce|counter|signed request bytes")
-	var tag [TagSize]byte
+	m := protocol.NewMAC([]byte("attestation-key"))
+	m.Tag(msg)
+	if allocs := testing.AllocsPerRun(1000, func() { m.Tag(msg) }); allocs != 0 {
+		t.Fatalf("held MAC Tag allocated %.1f/op, want 0", allocs)
+	}
+
+	h := hmac.New(sha1.New, []byte("attestation-key"))
+	tag := make([]byte, 0, sha1.Size)
+	h.Reset()
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.Reset()
-		m.Write(msg)
-		m.SumInto(&tag)
+		h.Reset()
+		h.Write(msg)
+		h.Sum(tag[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("Reset+Write+SumInto allocated %.1f/op, want 0", allocs)
+		t.Fatalf("crypto/hmac Reset+Write+Sum allocated %.1f/op, want 0", allocs)
 	}
 }
 
 // benchMsg is sized like the frames the gate MACs: small enough that the
-// two pad-block compressions dominate when they are not cached.
+// two pad-block compressions dominate when they are not saved.
 var benchMsg = []byte("R|nonce=0123456789abcdef|counter=0123456789abcdef|v1")
 
-// BenchmarkMACRekey is the before picture: keying a fresh MAC per tag, the
-// way per-call sites (hmac.SHA1) pay for small messages.
+// BenchmarkMACRekey is the one-shot picture: keying a fresh HMAC per tag.
 func BenchmarkMACRekey(b *testing.B) {
 	key := []byte("attestation-key")
-	var tag [TagSize]byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := NewSHA1(key)
-		m.Write(benchMsg)
-		m.SumInto(&tag)
+		oneShot(key, benchMsg)
 	}
 }
 
-// BenchmarkMACReset is the after picture: one held MAC, Reset-and-reuse
-// from the cached key schedule.
+// BenchmarkMACReset is the held picture: one MAC per key, reused.
 func BenchmarkMACReset(b *testing.B) {
-	m := NewSHA1([]byte("attestation-key"))
-	var tag [TagSize]byte
+	m := protocol.NewMAC([]byte("attestation-key"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
-		m.Write(benchMsg)
-		m.SumInto(&tag)
+		m.Tag(benchMsg)
 	}
 }

@@ -1,14 +1,16 @@
 // Package speck is a from-scratch implementation of the Speck 64/128
 // lightweight block cipher (Beaulieu et al., "The SIMON and SPECK Families
-// of Lightweight Block Ciphers", 2013) with CBC mode and CBC-MAC. The paper
-// singles Speck out as the cheapest request-authentication primitive for a
-// low-end prover: 0.015–0.017 ms per 8-byte block at 24 MHz once the key
-// schedule is precomputed (Table 1, §4.1).
+// of Lightweight Block Ciphers", 2013). The paper singles Speck out as the
+// cheapest request-authentication primitive for a low-end prover:
+// 0.015–0.017 ms per 8-byte block at 24 MHz once the key schedule is
+// precomputed (Table 1, §4.1). The standard library has no Speck; Cipher
+// is a crypto/cipher.Block, so the standard CBC mode and the shared
+// CBC-MAC (internal/crypto/cbcmac) run over it as over AES.
 package speck
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -100,67 +102,7 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	binary.LittleEndian.PutUint32(dst[4:], x)
 }
 
-// BlockSizeBytes reports the cipher block size.
-func (c *Cipher) BlockSizeBytes() int { return BlockSize }
+// BlockSize reports the cipher block size, completing cipher.Block.
+func (c *Cipher) BlockSize() int { return BlockSize }
 
-// ErrNotAligned reports CBC input whose length is not a multiple of the
-// block size.
-var ErrNotAligned = errors.New("speck: input not a multiple of the block size")
-
-// EncryptCBC encrypts src (length must be a multiple of 8) under iv.
-func (c *Cipher) EncryptCBC(iv, src []byte) ([]byte, error) {
-	if len(iv) != BlockSize {
-		return nil, fmt.Errorf("speck: iv length %d (want %d)", len(iv), BlockSize)
-	}
-	if len(src)%BlockSize != 0 {
-		return nil, ErrNotAligned
-	}
-	out := make([]byte, len(src))
-	prev := iv
-	for off := 0; off < len(src); off += BlockSize {
-		var blk [BlockSize]byte
-		for i := range blk {
-			blk[i] = src[off+i] ^ prev[i]
-		}
-		c.Encrypt(out[off:], blk[:])
-		prev = out[off : off+BlockSize]
-	}
-	return out, nil
-}
-
-// DecryptCBC inverts EncryptCBC.
-func (c *Cipher) DecryptCBC(iv, src []byte) ([]byte, error) {
-	if len(iv) != BlockSize {
-		return nil, fmt.Errorf("speck: iv length %d (want %d)", len(iv), BlockSize)
-	}
-	if len(src)%BlockSize != 0 {
-		return nil, ErrNotAligned
-	}
-	out := make([]byte, len(src))
-	prev := iv
-	for off := 0; off < len(src); off += BlockSize {
-		c.Decrypt(out[off:], src[off:])
-		for i := 0; i < BlockSize; i++ {
-			out[off+i] ^= prev[i]
-		}
-		prev = src[off : off+BlockSize]
-	}
-	return out, nil
-}
-
-// MAC computes a CBC-MAC tag over msg with zero IV and 10* padding, as for
-// the AES variant. Fixed-length protocol messages keep CBC-MAC sound.
-func (c *Cipher) MAC(msg []byte) [BlockSize]byte {
-	n := len(msg)
-	padded := make([]byte, ((n/BlockSize)+1)*BlockSize)
-	copy(padded, msg)
-	padded[n] = 0x80
-	var tag [BlockSize]byte
-	for off := 0; off < len(padded); off += BlockSize {
-		for i := range tag {
-			tag[i] ^= padded[off+i]
-		}
-		c.Encrypt(tag[:], tag[:])
-	}
-	return tag
-}
+var _ cipher.Block = (*Cipher)(nil)

@@ -2,8 +2,11 @@ package speck
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"testing"
 	"testing/quick"
+
+	"proverattest/internal/crypto/cbcmac"
 )
 
 // Official Speck 64/128 test vector from the SIMON/SPECK paper (ePrint
@@ -90,6 +93,9 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
+// The CBC tests run the standard library's CBC mode over Speck through
+// its cipher.Block methods.
+
 func TestCBCRoundTrip(t *testing.T) {
 	key := bytes.Repeat([]byte{0x5a}, 16)
 	iv := []byte{9, 8, 7, 6, 5, 4, 3, 2}
@@ -98,17 +104,13 @@ func TestCBCRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := bytes.Repeat([]byte("req-data"), 6) // 48 bytes, aligned
-	ct, err := c.EncryptCBC(iv, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := make([]byte, len(msg))
+	cipher.NewCBCEncrypter(c, iv).CryptBlocks(ct, msg)
 	if bytes.Equal(ct, msg) {
 		t.Fatal("CBC ciphertext equals plaintext")
 	}
-	pt, err := c.DecryptCBC(iv, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := make([]byte, len(ct))
+	cipher.NewCBCDecrypter(c, iv).CryptBlocks(pt, ct)
 	if !bytes.Equal(pt, msg) {
 		t.Fatalf("CBC round trip: got %x, want %x", pt, msg)
 	}
@@ -118,44 +120,40 @@ func TestCBCChainsBlocks(t *testing.T) {
 	// Two identical plaintext blocks must encrypt to different ciphertext
 	// blocks under CBC.
 	c, _ := New(make([]byte, 16))
-	iv := make([]byte, 8)
 	msg := bytes.Repeat([]byte{0x11}, 16)
-	ct, err := c.EncryptCBC(iv, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := make([]byte, len(msg))
+	cipher.NewCBCEncrypter(c, make([]byte, 8)).CryptBlocks(ct, msg)
 	if bytes.Equal(ct[:8], ct[8:]) {
 		t.Fatal("CBC produced identical ciphertext blocks for identical plaintext blocks")
 	}
 }
 
-func TestCBCRejectsMisalignedInput(t *testing.T) {
-	c, _ := New(make([]byte, 16))
-	iv := make([]byte, 8)
-	if _, err := c.EncryptCBC(iv, make([]byte, 9)); err != ErrNotAligned {
-		t.Errorf("EncryptCBC misaligned: err = %v, want ErrNotAligned", err)
-	}
-	if _, err := c.DecryptCBC(iv, make([]byte, 15)); err != ErrNotAligned {
-		t.Errorf("DecryptCBC misaligned: err = %v, want ErrNotAligned", err)
-	}
-	if _, err := c.EncryptCBC(make([]byte, 4), make([]byte, 8)); err == nil {
-		t.Error("EncryptCBC accepted a short IV")
-	}
-}
-
 func TestMACProperties(t *testing.T) {
 	c, _ := New([]byte("speck-64-128-key"))
-	t1 := c.MAC([]byte("attreq|counter=7"))
-	t2 := c.MAC([]byte("attreq|counter=8"))
+	tag := func(msg string) [BlockSize]byte {
+		var out [BlockSize]byte
+		cbcmac.Sum(c, out[:], []byte(msg))
+		return out
+	}
+	t1 := tag("attreq|counter=7")
+	t2 := tag("attreq|counter=8")
 	if t1 == t2 {
 		t.Fatal("MAC identical for different messages")
 	}
-	if c.MAC([]byte("attreq|counter=7")) != t1 {
+	if tag("attreq|counter=7") != t1 {
 		t.Fatal("MAC not deterministic")
 	}
 	// Padding injectivity across the padding byte.
-	if c.MAC([]byte("abc")) == c.MAC([]byte("abc\x80")) {
+	if tag("abc") == tag("abc\x80") {
 		t.Fatal("MAC padding is not injective")
+	}
+	// The tag is the last block of the standard CBC mode over the
+	// 10*-padded message under a zero IV.
+	padded := []byte("attreq|counter=7\x80\x00\x00\x00\x00\x00\x00\x00")
+	ct := make([]byte, len(padded))
+	cipher.NewCBCEncrypter(c, make([]byte, BlockSize)).CryptBlocks(ct, padded)
+	if !bytes.Equal(t1[:], ct[len(ct)-BlockSize:]) {
+		t.Fatalf("MAC %x, want last CBC block %x", t1, ct[len(ct)-BlockSize:])
 	}
 }
 

@@ -1,8 +1,9 @@
 package mcu
 
 import (
+	"crypto/sha1"
+
 	"proverattest/internal/crypto/cost"
-	"proverattest/internal/crypto/sha1"
 )
 
 // BootROMTask is the code region of the immutable first-stage bootloader.

@@ -277,6 +277,14 @@ func (e *Exec) Read(addr Addr, n uint32) ([]byte, *Fault) {
 	return data, f
 }
 
+// View returns n bytes at addr in place, subject to the same protection
+// checks as Read (see Bus.View).
+func (e *Exec) View(addr Addr, n uint32) ([]byte, *Fault) {
+	data, f := e.m.Bus.View(e.PC(), addr, n)
+	e.noteFault(f)
+	return data, f
+}
+
 // Write stores data at addr, subject to protection checks.
 func (e *Exec) Write(addr Addr, data []byte) *Fault {
 	f := e.m.Bus.Write(e.PC(), addr, data)

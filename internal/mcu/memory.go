@@ -107,13 +107,16 @@ func regionOf(addr Addr) (Region, bool) {
 // factory access). It panics on unmapped or MMIO addresses: hardware blocks
 // never DMA from device windows in this model.
 func (s *AddressSpace) DirectRead(addr Addr, n uint32) []byte {
+	return append(make([]byte, 0, n), s.view(addr, n)...)
+}
+
+// view returns the n bytes at addr in place, panicking as DirectRead does.
+func (s *AddressSpace) view(addr Addr, n uint32) []byte {
 	mem, off, ok := s.backing(addr)
 	if !ok || uint64(off)+uint64(n) > uint64(len(mem)) {
 		panic(fmt.Sprintf("mcu: direct read of %d bytes at %#08x outside plain memory", n, uint32(addr)))
 	}
-	out := make([]byte, n)
-	copy(out, mem[off:off+n])
-	return out
+	return mem[off : off+n : off+n]
 }
 
 // DirectWrite stores data at addr without protection checks.
@@ -130,7 +133,7 @@ func (s *AddressSpace) DirectWrite(addr Addr, data []byte) {
 
 // DirectLoad32 reads a little-endian word without protection checks.
 func (s *AddressSpace) DirectLoad32(addr Addr) uint32 {
-	return binary.LittleEndian.Uint32(s.DirectRead(addr, 4))
+	return binary.LittleEndian.Uint32(s.view(addr, 4))
 }
 
 // DirectStore32 writes a little-endian word without protection checks.
@@ -196,13 +199,25 @@ func (b *Bus) checkPipeline(pc, addr Addr, n uint32, kind AccessKind) *Fault {
 
 // Read copies n bytes at addr on behalf of code executing at pc.
 func (b *Bus) Read(pc, addr Addr, n uint32) ([]byte, *Fault) {
+	data, f := b.View(pc, addr, n)
+	if f != nil {
+		return nil, f
+	}
+	return append(make([]byte, 0, n), data...), nil
+}
+
+// View is Read without the copy: the same checks and faults, but the
+// returned slice aliases memory. It is valid until the next write to the
+// range, and the caller must not modify it. The trust anchor hashes the
+// measured region through View instead of copying 512 KiB per request.
+func (b *Bus) View(pc, addr Addr, n uint32) ([]byte, *Fault) {
 	if MMIORegion.Contains(addr) {
 		return nil, &Fault{PC: pc, Addr: addr, Kind: AccessRead, Reason: "byte access to MMIO (use Load32)"}
 	}
 	if f := b.check(pc, addr, n, AccessRead); f != nil {
 		return nil, f
 	}
-	return b.space.DirectRead(addr, n), nil
+	return b.space.view(addr, n), nil
 }
 
 // Write stores data at addr on behalf of code executing at pc.
@@ -240,7 +255,7 @@ func (b *Bus) Load32(pc, addr Addr) (uint32, *Fault) {
 		}
 		return v, nil
 	}
-	data, f := b.Read(pc, addr, 4)
+	data, f := b.View(pc, addr, 4)
 	if f != nil {
 		return 0, f
 	}

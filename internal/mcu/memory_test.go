@@ -209,3 +209,43 @@ func TestDeviceDispatch(t *testing.T) {
 		t.Fatalf("device saw store %d, want 99", dev.lastStore)
 	}
 }
+
+// TestBusLoad32ZeroAllocs pins the interpreter's word load on plain
+// memory: checked like Read, but read in place, so an SP16 load costs
+// no garbage.
+func TestBusLoad32ZeroAllocs(t *testing.T) {
+	m := newTestMCU(t)
+	pc := FlashRegion.Start
+	m.Space.DirectStore32(RAMRegion.Start+8, 0xC0FFEE11)
+	load := func() {
+		if v, f := m.Bus.Load32(pc, RAMRegion.Start+8); f != nil || v != 0xC0FFEE11 {
+			t.Fatalf("Load32 = %#x, %v", v, f)
+		}
+	}
+	load()
+	if n := testing.AllocsPerRun(1000, load); n != 0 {
+		t.Fatalf("Bus.Load32 on plain memory: %v allocs/op, want 0", n)
+	}
+}
+
+// TestBusViewMatchesRead checks that the in-place view sees what Read
+// copies and faults where Read faults.
+func TestBusViewMatchesRead(t *testing.T) {
+	m := newTestMCU(t)
+	pc := FlashRegion.Start
+	m.Space.DirectWrite(RAMRegion.Start, []byte("in-place"))
+	view, f := m.Bus.View(pc, RAMRegion.Start, 8)
+	if f != nil {
+		t.Fatal(f)
+	}
+	data, _ := m.Bus.Read(pc, RAMRegion.Start, 8)
+	if !bytes.Equal(view, data) || string(view) != "in-place" {
+		t.Fatalf("View = %q, Read = %q", view, data)
+	}
+	if _, f := m.Bus.View(pc, RAMRegion.End()-2, 8); f == nil {
+		t.Fatal("view spilling past RAM succeeded")
+	}
+	if _, f := m.Bus.View(pc, MMIORegion.Start, 4); f == nil {
+		t.Fatal("byte view of MMIO succeeded")
+	}
+}

@@ -168,3 +168,38 @@ func TestCheckDecodedResponseUnsolicitedZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestHeldMACZeroAllocs pins the verifier's per-round MAC work on its
+// held keys: the expected full measurement costs nothing but the hash,
+// and a request tag costs only the tag it returns.
+func TestHeldMACZeroAllocs(t *testing.T) {
+	key := []byte("0123456789abcdef0123")
+	v, err := NewVerifier(VerifierConfig{
+		Freshness: FreshCounter,
+		Auth:      NewHMACAuth(key),
+		AttestKey: key,
+		Golden:    make([]byte, 4096),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &AttReq{Freshness: FreshCounter, Auth: AuthHMACSHA1, Nonce: 3, Counter: 4}
+	assertZeroAllocs(t, "Verifier.ExpectedMeasurement", func() { v.ExpectedMeasurement(req) })
+	if got, want := v.ExpectedMeasurement(req), Measure(key, req, make([]byte, 4096)); got != want {
+		t.Fatalf("held measurement %x, one-shot %x", got, want)
+	}
+
+	auth := NewHMACAuth(key)
+	signed := req.SignedBytes()
+	var tag []byte
+	sign := func() { tag, _ = auth.Sign(signed) }
+	sign()
+	if n := testing.AllocsPerRun(1000, sign); n > 1 {
+		t.Errorf("HMACAuth.Sign: %v allocs/op, want <= 1 (the returned tag)", n)
+	}
+	assertZeroAllocs(t, "HMACAuth.Verify", func() {
+		if ok, _ := auth.Verify(signed, tag); !ok {
+			t.Fatal("own tag refused")
+		}
+	})
+}

@@ -1,12 +1,16 @@
 package protocol
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha1"
 	"errors"
+	"fmt"
 
-	"proverattest/internal/crypto/aes"
+	"proverattest/internal/crypto/cbcmac"
 	"proverattest/internal/crypto/cost"
 	"proverattest/internal/crypto/ecc"
-	"proverattest/internal/crypto/hmac"
 	"proverattest/internal/crypto/speck"
 )
 
@@ -14,7 +18,9 @@ import (
 // the verifier; Verify runs on the prover and reports the prover-side
 // cycle cost of the check so the trust anchor can account for it. Key
 // schedules are expanded once at construction, matching the paper's
-// "if key expansion is done in advance" accounting.
+// "if key expansion is done in advance" accounting. The symmetric schemes
+// hold their keyed state and tag scratch, so an Authenticator is not safe
+// for concurrent use.
 type Authenticator interface {
 	Kind() AuthKind
 	// Sign computes the request tag. It fails on verify-only instances
@@ -68,62 +74,81 @@ func (NoAuth) TagLen() int { return 0 }
 
 // HMACAuth authenticates requests with HMAC-SHA1 over the shared key.
 // §4.1: validating one 512-bit message block costs ≈0.43 ms on the prover.
+// It holds one MAC for Sign and Verify and is not safe for concurrent use.
 type HMACAuth struct {
-	key []byte
+	mac *MAC
 }
 
 // NewHMACAuth keys the scheme.
 func NewHMACAuth(key []byte) *HMACAuth {
-	return &HMACAuth{key: append([]byte(nil), key...)}
+	return &HMACAuth{mac: NewMAC(key)}
 }
 
 // Kind implements Authenticator.
 func (a *HMACAuth) Kind() AuthKind { return AuthHMACSHA1 }
 
-// Sign implements Authenticator.
+// Sign implements Authenticator. The returned tag is the only allocation.
 func (a *HMACAuth) Sign(signed []byte) ([]byte, error) {
-	tag := hmac.SHA1(a.key, signed)
-	return tag[:], nil
+	return append([]byte(nil), a.mac.Tag(signed)[:]...), nil
 }
 
 // Verify implements Authenticator.
 func (a *HMACAuth) Verify(signed, tag []byte) (bool, cost.Cycles) {
-	want := hmac.SHA1(a.key, signed)
-	return hmac.Equal(want[:], tag), cost.HMACSHA1(len(signed))
+	return hmac.Equal(a.mac.Tag(signed)[:], tag), cost.HMACSHA1(len(signed))
 }
 
 // TagLen implements Authenticator.
-func (a *HMACAuth) TagLen() int { return hmac.TagSize }
+func (a *HMACAuth) TagLen() int { return sha1.Size }
 
-// AESAuth authenticates requests with an AES-128 CBC-MAC.
-type AESAuth struct {
-	cipher *aes.Cipher
+// cbcAuth is a CBC-MAC scheme over one block cipher, its key schedule
+// expanded once (the paper's precomputed key schedule). tag is the
+// scratch Verify computes into, sized for the larger (AES) block; the
+// block is an interface, so a stack buffer would escape.
+type cbcAuth struct {
+	block cipher.Block
+	tag   [aes.BlockSize]byte
 }
 
-// NewAESAuth expands the key once (the paper's precomputed key schedule).
+// sign computes the CBC-MAC tag of signed into a new slice.
+func (a *cbcAuth) sign(signed []byte) []byte {
+	tag := make([]byte, a.block.BlockSize())
+	cbcmac.Sum(a.block, tag, signed)
+	return tag
+}
+
+// verify checks tag and reports the padded length the CBC pass covered.
+func (a *cbcAuth) verify(signed, tag []byte) (bool, int) {
+	n := a.block.BlockSize()
+	cbcmac.Sum(a.block, a.tag[:n], signed)
+	return hmac.Equal(a.tag[:n], tag), (len(signed)/n + 1) * n
+}
+
+// AESAuth authenticates requests with an AES-128 CBC-MAC.
+type AESAuth struct{ cbcAuth }
+
+// NewAESAuth expands an AES-128 key once.
 func NewAESAuth(key []byte) (*AESAuth, error) {
-	c, err := aes.New(key)
+	if len(key) != 16 {
+		return nil, fmt.Errorf("protocol: AES-128 key is %d bytes, want 16", len(key))
+	}
+	b, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	return &AESAuth{cipher: c}, nil
+	return &AESAuth{cbcAuth{block: b}}, nil
 }
 
 // Kind implements Authenticator.
 func (a *AESAuth) Kind() AuthKind { return AuthAESCBCMAC }
 
 // Sign implements Authenticator.
-func (a *AESAuth) Sign(signed []byte) ([]byte, error) {
-	tag := a.cipher.MAC(signed)
-	return tag[:], nil
-}
+func (a *AESAuth) Sign(signed []byte) ([]byte, error) { return a.sign(signed), nil }
 
 // Verify implements Authenticator. The cost covers the padded CBC pass
 // with the key schedule already expanded.
 func (a *AESAuth) Verify(signed, tag []byte) (bool, cost.Cycles) {
-	want := a.cipher.MAC(signed)
-	padded := (len(signed)/aes.BlockSize + 1) * aes.BlockSize
-	return hmac.Equal(want[:], tag), cost.AESCBCMAC(padded, false)
+	ok, padded := a.verify(signed, tag)
+	return ok, cost.AESCBCMAC(padded, false)
 }
 
 // TagLen implements Authenticator.
@@ -132,9 +157,7 @@ func (a *AESAuth) TagLen() int { return aes.BlockSize }
 // SpeckAuth authenticates requests with a Speck 64/128 CBC-MAC — the
 // paper's cheapest option at 0.017 ms per 8-byte block with the schedule
 // precomputed.
-type SpeckAuth struct {
-	cipher *speck.Cipher
-}
+type SpeckAuth struct{ cbcAuth }
 
 // NewSpeckAuth expands the key once.
 func NewSpeckAuth(key []byte) (*SpeckAuth, error) {
@@ -142,23 +165,19 @@ func NewSpeckAuth(key []byte) (*SpeckAuth, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SpeckAuth{cipher: c}, nil
+	return &SpeckAuth{cbcAuth{block: c}}, nil
 }
 
 // Kind implements Authenticator.
 func (a *SpeckAuth) Kind() AuthKind { return AuthSpeckCBCMAC }
 
 // Sign implements Authenticator.
-func (a *SpeckAuth) Sign(signed []byte) ([]byte, error) {
-	tag := a.cipher.MAC(signed)
-	return tag[:], nil
-}
+func (a *SpeckAuth) Sign(signed []byte) ([]byte, error) { return a.sign(signed), nil }
 
 // Verify implements Authenticator.
 func (a *SpeckAuth) Verify(signed, tag []byte) (bool, cost.Cycles) {
-	want := a.cipher.MAC(signed)
-	padded := (len(signed)/speck.BlockSize + 1) * speck.BlockSize
-	return hmac.Equal(want[:], tag), cost.SpeckCBCMAC(padded, false)
+	ok, padded := a.verify(signed, tag)
+	return ok, cost.SpeckCBCMAC(padded, false)
 }
 
 // TagLen implements Authenticator.

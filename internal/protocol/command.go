@@ -1,10 +1,10 @@
 package protocol
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
+	"errors"
 	"fmt"
-
-	"proverattest/internal/crypto/hmac"
 )
 
 // CommandKind names a prover-side security service invoked through the
@@ -213,14 +213,18 @@ func (r *CommandResp) encodeHeader(buf []byte, tagLen int) {
 
 // Seal computes the response tag with K_Attest.
 func (r *CommandResp) Seal(attestKey []byte) {
-	tag := hmac.SHA1(attestKey, r.SignedBytes())
-	r.Tag = tag[:]
+	r.Tag = append([]byte(nil), NewMAC(attestKey).commandTag(r)[:]...)
 }
 
-// VerifyTag checks the response tag with K_Attest.
-func (r *CommandResp) VerifyTag(attestKey []byte) bool {
-	want := hmac.SHA1(attestKey, r.SignedBytes())
-	return hmac.Equal(want[:], r.Tag)
+// commandTag computes r's K_Attest tag over its tagless frame: the header
+// is built in scratch, the body absorbed where it lies.
+func (m *MAC) commandTag(r *CommandResp) *[sha1.Size]byte {
+	hdr := m.scratch[:cmdRespHeader]
+	r.encodeHeader(hdr, 0)
+	m.h.Reset()
+	m.h.Write(hdr)
+	m.h.Write(r.Body)
+	return m.finish()
 }
 
 // AppendEncode appends the serialised response to dst and returns the
@@ -238,40 +242,54 @@ func (r *CommandResp) Encode() []byte {
 	return r.AppendEncode(make([]byte, 0, cmdRespHeader+len(r.Body)+len(r.Tag)))
 }
 
-// DecodeCommandResp parses a command response.
-func DecodeCommandResp(buf []byte) (*CommandResp, error) {
+// Static command-response decode errors: DecodeCommandRespInto runs on
+// the daemon's per-frame path, where a hostile peer picks how often the
+// error branches run.
+var (
+	errCmdRespLength   = errors.New("protocol: bad command-response length")
+	errCmdRespMagic    = errors.New("protocol: bad command-response magic")
+	errCmdRespVersion  = errors.New("protocol: unsupported command-response version")
+	errCmdRespReserved = errors.New("protocol: nonzero reserved bytes in command-response header")
+)
+
+// DecodeCommandRespInto parses a command response into r without
+// allocating: r.Body and r.Tag alias buf, so r is valid only while buf
+// is. Errors are static.
+func DecodeCommandRespInto(buf []byte, r *CommandResp) error {
 	if len(buf) < cmdRespHeader {
-		return nil, fmt.Errorf("protocol: command response too short (%d bytes)", len(buf))
+		return errCmdRespLength
 	}
 	if buf[0] != respMagic0 || buf[1] != cmdRespMagic1 {
-		return nil, fmt.Errorf("protocol: bad command-response magic %#x %#x", buf[0], buf[1])
+		return errCmdRespMagic
 	}
 	if buf[2] != reqVersion {
-		return nil, fmt.Errorf("protocol: unsupported command-response version %d", buf[2])
+		return errCmdRespVersion
 	}
 	if buf[5] != 0 || buf[6] != 0 || buf[7] != 0 {
-		return nil, fmt.Errorf("protocol: nonzero reserved bytes in command-response header")
+		return errCmdRespReserved
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(buf[16:]))
 	tagLen := int(binary.LittleEndian.Uint16(buf[20:]))
-	if bodyLen > maxCommandBody || tagLen > maxTagSize {
-		return nil, fmt.Errorf("protocol: command response body %d / tag %d out of range", bodyLen, tagLen)
+	if bodyLen > maxCommandBody || tagLen > maxTagSize || len(buf) != cmdRespHeader+bodyLen+tagLen {
+		return errCmdRespLength
 	}
-	if len(buf) != cmdRespHeader+bodyLen+tagLen {
-		return nil, fmt.Errorf("protocol: command response length %d does not match body %d + tag %d",
-			len(buf), bodyLen, tagLen)
+	r.Kind = CommandKind(buf[3])
+	r.Status = buf[4]
+	r.Nonce = binary.LittleEndian.Uint64(buf[8:])
+	r.Body = buf[cmdRespHeader : cmdRespHeader+bodyLen : cmdRespHeader+bodyLen]
+	r.Tag = buf[cmdRespHeader+bodyLen:]
+	return nil
+}
+
+// DecodeCommandResp parses a command response into a value of its own:
+// body and tag are copied out of buf.
+func DecodeCommandResp(buf []byte) (*CommandResp, error) {
+	r := &CommandResp{}
+	if err := DecodeCommandRespInto(buf, r); err != nil {
+		return nil, err
 	}
-	r := &CommandResp{
-		Kind:   CommandKind(buf[3]),
-		Status: buf[4],
-		Nonce:  binary.LittleEndian.Uint64(buf[8:]),
-	}
-	if bodyLen > 0 {
-		r.Body = append([]byte(nil), buf[cmdRespHeader:cmdRespHeader+bodyLen]...)
-	}
-	if tagLen > 0 {
-		r.Tag = append([]byte(nil), buf[cmdRespHeader+bodyLen:]...)
-	}
+	r.Body = append([]byte(nil), r.Body...)
+	r.Tag = append([]byte(nil), r.Tag...)
 	return r, nil
 }
 

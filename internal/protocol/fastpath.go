@@ -1,10 +1,8 @@
 package protocol
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
-
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 )
 
 // The O(1) attestation fast path, after RATA ("On the TOCTOU Problem in
@@ -33,23 +31,17 @@ var fastDomain = []byte("RATA-fast-v1")
 // FastMAC computes the O(1) fast-path response MAC for req, vouching that
 // the memory behind lastDigest is unchanged through monitor epoch epoch.
 func FastMAC(attestKey []byte, req *AttReq, epoch uint32, lastDigest *[sha1.Size]byte) [sha1.Size]byte {
-	m := hmac.NewSHA1(attestKey)
-	var out [sha1.Size]byte
-	fastMACInto(m, req, epoch, lastDigest, &out)
-	return out
+	return *NewMAC(attestKey).fast(req, epoch, lastDigest)
 }
 
-// fastMACInto absorbs the fast-path message into a freshly reset MAC and
-// finalises into out without allocating.
-func fastMACInto(m *hmac.MAC, req *AttReq, epoch uint32, lastDigest *[sha1.Size]byte, out *[sha1.Size]byte) {
-	var hdr [reqHeaderSize]byte
-	m.Write(req.AppendSignedBytes(hdr[:0]))
-	m.Write(fastDomain)
-	var eb [4]byte
-	binary.LittleEndian.PutUint32(eb[:], epoch)
-	m.Write(eb[:])
-	m.Write(lastDigest[:])
-	m.SumInto(out)
+// fast computes the fast-path MAC into the MAC's tag buffer. The whole
+// message is assembled in scratch and absorbed in one Write.
+func (m *MAC) fast(req *AttReq, epoch uint32, lastDigest *[sha1.Size]byte) *[sha1.Size]byte {
+	b := req.AppendSignedBytes(m.scratch[:0])
+	b = append(b, fastDomain...)
+	b = binary.LittleEndian.AppendUint32(b, epoch)
+	b = append(b, lastDigest[:]...)
+	return m.Tag(b)
 }
 
 // FastMACMessageLen is the fast-path MAC input length in bytes, for cycle
@@ -63,9 +55,10 @@ const FastMACMessageLen = reqHeaderSize + 12 + 4 + sha1.Size
 // RespondInto answers fast-permitted requests in O(1) until Taint marks
 // the memory dirty. All state — including both MAC computations — reuses
 // pre-allocated buffers, so the clean fast path is zero allocations per
-// frame (pinned in fastpath_alloc_test.go).
+// frame (pinned in fastpath_alloc_test.go). A FastResponder holds a MAC
+// and is not safe for concurrent use.
 type FastResponder struct {
-	mac    *hmac.MAC
+	mac    *MAC
 	golden []byte
 
 	epoch  uint32
@@ -77,7 +70,7 @@ type FastResponder struct {
 // whose measured memory content is golden. The monitor starts dirty, so
 // the first round always pays the full MAC.
 func NewFastResponder(attestKey, golden []byte) *FastResponder {
-	return &FastResponder{mac: hmac.NewSHA1(attestKey), golden: golden}
+	return &FastResponder{mac: NewMAC(attestKey), golden: golden}
 }
 
 // Taint latches the responder's dirty bit, as a store to attested memory
@@ -96,18 +89,13 @@ func (fr *FastResponder) RespondInto(req *AttReq, resp *AttResp) (fast bool) {
 	resp.Nonce = req.Nonce
 	resp.Counter = req.Counter
 	if req.AllowFast && fr.Clean() {
-		fr.mac.Reset()
-		fastMACInto(fr.mac, req, fr.epoch, &fr.digest, &resp.Measurement)
+		resp.Measurement = *fr.mac.fast(req, fr.epoch, &fr.digest)
 		resp.Fast = true
 		resp.Epoch = fr.epoch
 		return true
 	}
 	// Full measurement: MAC over (signed request ‖ memory), then rearm.
-	var hdr [reqHeaderSize]byte
-	fr.mac.Reset()
-	fr.mac.Write(req.AppendSignedBytes(hdr[:0]))
-	fr.mac.Write(fr.golden)
-	fr.mac.SumInto(&fr.digest)
+	fr.digest = *fr.mac.Measure(req, fr.golden)
 	fr.epoch++
 	fr.clean = true
 	resp.Fast = false

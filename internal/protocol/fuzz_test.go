@@ -110,7 +110,7 @@ func FuzzDecodeStatsReport(f *testing.F) {
 // treatment as AttReq.
 func FuzzDecodeSwarmReq(f *testing.F) {
 	signed := &SwarmReq{OwnOnly: true, Root: 3, Nonce: 1, TreeID: 2}
-	signed.Sign([]byte("fuzz-swarm-key"))
+	signed.Sign(NewMAC([]byte("fuzz-swarm-key")))
 	f.Add(signed.Encode())
 	f.Add((&SwarmReq{}).Encode())
 	f.Add([]byte{})

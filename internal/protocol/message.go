@@ -9,11 +9,10 @@
 package protocol
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"proverattest/internal/crypto/sha1"
 )
 
 // FreshnessKind selects the anti-replay mechanism carried in requests.

@@ -95,7 +95,7 @@ func TestSwarmReqMutationsNeverDecodeAndVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	key := DeriveSwarmKey([]byte("mutation-master"))
 	req := &SwarmReq{OwnOnly: false, Root: 12, Nonce: 5, TreeID: 6}
-	req.Sign(key[:])
+	req.Sign(NewMAC(key[:]))
 	frame := req.Encode()
 	auth := NewHMACAuth(key[:])
 

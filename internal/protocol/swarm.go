@@ -9,12 +9,10 @@ package protocol
 // and the keyed primitives both ends share.
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 )
 
 // SwarmReq is the verifier→swarm aggregate-attestation request, broadcast
@@ -89,10 +87,11 @@ func (r *SwarmReq) encodeHeader(buf []byte, tagLen int) {
 	binary.LittleEndian.PutUint16(buf[24:], uint16(tagLen))
 }
 
-// Sign computes and attaches the K_Swarm request tag.
-func (r *SwarmReq) Sign(swarmKey []byte) {
-	tag := hmac.SHA1(swarmKey, r.SignedBytes())
-	r.Tag = tag[:]
+// Sign computes and attaches the request tag with gate, a MAC held under
+// K_Swarm. The signed header is built in the MAC's scratch; the attached
+// tag is the only allocation.
+func (r *SwarmReq) Sign(gate *MAC) {
+	r.Tag = append([]byte(nil), gate.Tag(r.AppendSignedBytes(gate.scratch[:0]))[:]...)
 }
 
 // AppendEncode appends the serialised request to dst and returns the
@@ -329,43 +328,38 @@ var (
 // member lets an adversary waste fleet energy but never forge an
 // aggregate.
 func DeriveSwarmKey(master []byte) [sha1.Size]byte {
-	m := hmac.NewSHA1(master)
-	m.Write([]byte("K_Swarm"))
-	var out [sha1.Size]byte
-	copy(out[:], m.Sum(nil))
-	return out
+	return *NewMAC(master).Tag([]byte("K_Swarm"))
 }
 
 // SwarmMemDigestInto computes mem_i into out using mac (keyed with the
-// member's K_Attest) without allocating. mac is reset first.
-func SwarmMemDigestInto(mac *hmac.MAC, mem []byte, out *[sha1.Size]byte) {
-	mac.Reset()
-	mac.Write(swarmMemDomain)
-	mac.Write(mem)
-	mac.SumInto(out)
+// member's K_Attest) without allocating; mem must be heap memory.
+func SwarmMemDigestInto(mac *MAC, mem []byte, out *[sha1.Size]byte) {
+	mac.h.Reset()
+	mac.h.Write(swarmMemDomain)
+	mac.h.Write(mem)
+	*out = *mac.finish()
 }
 
 // SwarmMemDigest is the allocating convenience form of SwarmMemDigestInto.
 func SwarmMemDigest(key, mem []byte) [sha1.Size]byte {
 	var out [sha1.Size]byte
-	SwarmMemDigestInto(hmac.NewSHA1(key), mem, &out)
+	SwarmMemDigestInto(NewMAC(key), mem, &out)
 	return out
 }
 
 // SwarmOwnTagInto computes own_i into out using mac (keyed with the
 // member's K_Attest) without allocating: signedReq is the request's
-// AppendSignedBytes image, index the member's tree index, epoch the
-// monitor generation the digest was measured under. mac is reset first.
-func SwarmOwnTagInto(mac *hmac.MAC, signedReq []byte, index uint16, epoch uint32, memDigest *[sha1.Size]byte, out *[sha1.Size]byte) {
-	var hdr [6]byte
-	binary.LittleEndian.PutUint16(hdr[0:], index)
-	binary.LittleEndian.PutUint32(hdr[2:], epoch)
-	mac.Reset()
-	mac.Write(signedReq)
-	mac.Write(swarmOwnDomain)
-	mac.Write(hdr[:])
-	mac.Write(memDigest[:])
-	mac.SumInto(out)
+// AppendSignedBytes image (heap memory), index the member's tree index,
+// epoch the monitor generation the digest was measured under.
+func SwarmOwnTagInto(mac *MAC, signedReq []byte, index uint16, epoch uint32, memDigest *[sha1.Size]byte, out *[sha1.Size]byte) {
+	b := append(mac.scratch[:0], swarmOwnDomain...)
+	b = binary.LittleEndian.AppendUint16(b, index)
+	b = binary.LittleEndian.AppendUint32(b, epoch)
+	b = append(b, memDigest[:]...)
+	mac.h.Reset()
+	mac.h.Write(signedReq)
+	mac.h.Write(b)
+	*out = *mac.finish()
 }
 
 // SwarmFoldStart begins an aggregate fold over mac (keyed with the
@@ -373,18 +367,17 @@ func SwarmOwnTagInto(mac *hmac.MAC, signedReq []byte, index uint16, epoch uint32
 // aggregates follow via SwarmFoldChild in child order; SwarmFoldFinish
 // emits the tag. A node with no present children skips the fold entirely
 // and uses own_i as its aggregate.
-func SwarmFoldStart(mac *hmac.MAC, own *[sha1.Size]byte) {
-	mac.Reset()
-	mac.Write(swarmFoldDomain)
-	mac.Write(own[:])
+func SwarmFoldStart(mac *MAC, own *[sha1.Size]byte) {
+	mac.h.Reset()
+	mac.h.Write(append(append(mac.scratch[:0], swarmFoldDomain...), own[:]...))
 }
 
 // SwarmFoldChild absorbs one present child's aggregate tag.
-func SwarmFoldChild(mac *hmac.MAC, childAgg *[sha1.Size]byte) {
-	mac.Write(childAgg[:])
+func SwarmFoldChild(mac *MAC, childAgg *[sha1.Size]byte) {
+	mac.h.Write(append(mac.scratch[:0], childAgg[:]...))
 }
 
 // SwarmFoldFinish finalises the fold into out without allocating.
-func SwarmFoldFinish(mac *hmac.MAC, out *[sha1.Size]byte) {
-	mac.SumInto(out)
+func SwarmFoldFinish(mac *MAC, out *[sha1.Size]byte) {
+	*out = *mac.finish()
 }

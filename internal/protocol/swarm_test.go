@@ -2,15 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"testing"
-
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 )
 
 func TestSwarmReqRoundTrip(t *testing.T) {
 	req := &SwarmReq{OwnOnly: true, Root: 42, Nonce: 7, TreeID: 99}
-	req.Sign([]byte("swarm-key"))
+	req.Sign(NewMAC([]byte("swarm-key")))
 	wire := req.Encode()
 
 	got, err := DecodeSwarmReq(wire)
@@ -39,7 +37,7 @@ func TestSwarmReqRoundTrip(t *testing.T) {
 func TestSwarmReqSignedBytesExcludeTag(t *testing.T) {
 	req := &SwarmReq{Root: 3, Nonce: 1, TreeID: 2}
 	signed := req.SignedBytes()
-	req.Sign([]byte("k"))
+	req.Sign(NewMAC([]byte("k")))
 	if !bytes.Equal(signed, req.SignedBytes()) {
 		t.Fatalf("signing changed the signed bytes")
 	}
@@ -168,7 +166,7 @@ func TestSwarmTagDerivation(t *testing.T) {
 	signed := req.SignedBytes()
 
 	digA := SwarmMemDigest(keyA, mem)
-	macA := hmac.NewSHA1(keyA)
+	macA := NewMAC(keyA)
 	var digA2 [sha1.Size]byte
 	SwarmMemDigestInto(macA, mem, &digA2)
 	if digA != digA2 {
@@ -214,7 +212,7 @@ func TestSwarmTagDerivation(t *testing.T) {
 		t.Fatalf("fold ignores child order")
 	}
 
-	macB := hmac.NewSHA1(keyB)
+	macB := NewMAC(keyB)
 	SwarmFoldStart(macB, &own1)
 	SwarmFoldChild(macB, &childX)
 	SwarmFoldChild(macB, &childY)

@@ -1,22 +1,27 @@
 package protocol
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
 	"errors"
 	"fmt"
-
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 )
 
 // Verifier is the trusted party Vrf. It issues authenticated, fresh
 // attestation requests and validates measurement responses against a
-// golden image of the prover's measured memory.
+// golden image of the prover's measured memory. A Verifier holds a MAC
+// under K_Attest and, through its Authenticator, may hold another: it is
+// not safe for concurrent use.
 type Verifier struct {
 	freshness FreshnessKind
 	auth      Authenticator
-	attestKey []byte
+	mac       *MAC // keyed K_Attest: measurements, fast MACs, command tags
 	golden    []byte
 	clock     func() uint64 // verifier-side clock, prover-clock milliseconds
+
+	// signed is the scratch a request's signed header is built in: the
+	// Authenticator is an interface, so a stack buffer would escape.
+	signed [reqHeaderSize]byte
 
 	counter     uint64
 	nonceSeq    uint64
@@ -98,7 +103,7 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 	v := &Verifier{
 		freshness:   cfg.Freshness,
 		auth:        cfg.Auth,
-		attestKey:   append([]byte(nil), cfg.AttestKey...),
+		mac:         NewMAC(cfg.AttestKey),
 		golden:      append([]byte(nil), cfg.Golden...),
 		clock:       cfg.Clock,
 		allowFast:   cfg.AllowFastPath,
@@ -152,14 +157,14 @@ func (v *Verifier) NewRequest() (*AttReq, error) {
 	case FreshTimestamp:
 		req.Timestamp = v.clock()
 	}
-	tag, err := v.auth.Sign(req.SignedBytes())
+	tag, err := v.auth.Sign(req.AppendSignedBytes(v.signed[:0]))
 	if err != nil {
 		return nil, fmt.Errorf("protocol: signing request: %w", err)
 	}
 	req.Tag = tag
 	p := &pendingAtt{req: req}
 	if req.AllowFast {
-		p.wantFast = FastMAC(v.attestKey, req, v.fastEpoch, &v.fastDigest)
+		p.wantFast = *v.mac.fast(req, v.fastEpoch, &v.fastDigest)
 		p.haveFastWant = true
 	} else {
 		v.lastFull = req.Nonce
@@ -173,17 +178,12 @@ func (v *Verifier) NewRequest() (*AttReq, error) {
 // for req over the golden memory image: HMAC-SHA1(K_Attest, signed-request
 // ‖ memory). Binding the request into the MAC prevents response replay.
 func (v *Verifier) ExpectedMeasurement(req *AttReq) [sha1.Size]byte {
-	return Measure(v.attestKey, req, v.golden)
+	return *v.mac.Measure(req, v.golden)
 }
 
 // Measure is the measurement function shared by verifier and trust anchor.
 func Measure(attestKey []byte, req *AttReq, memory []byte) [sha1.Size]byte {
-	m := hmac.NewSHA1(attestKey)
-	m.Write(req.SignedBytes())
-	m.Write(memory)
-	var out [sha1.Size]byte
-	copy(out[:], m.Sum(nil))
-	return out
+	return *NewMAC(attestKey).Measure(req, memory)
 }
 
 // Static check errors, pre-allocated so the hot rejection branches of
@@ -338,6 +338,16 @@ func (v *Verifier) NewCommand(kind CommandKind, body []byte) (*CommandReq, error
 	return req, nil
 }
 
+// Static command-check errors, pre-allocated: an unsolicited command
+// response is refused at the daemon's gate without garbage.
+var (
+	// ErrCommandKind marks a command response whose kind differs from the
+	// outstanding command's.
+	ErrCommandKind = errors.New("protocol: command response kind does not match the command")
+	// ErrCommandTag marks a command response whose K_Attest tag is invalid.
+	ErrCommandTag = errors.New("protocol: command response tag invalid")
+)
+
 // CheckCommandResponse validates a raw command-response frame: it must
 // answer an outstanding command and carry a valid K_Attest tag. The
 // command is retired on success (any status), since the anchor
@@ -348,23 +358,36 @@ func (v *Verifier) CheckCommandResponse(raw []byte) (*CommandResp, error) {
 		v.Rejected++
 		return nil, err
 	}
+	if err := v.CheckDecodedCommandResponse(resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// CheckDecodedCommandResponse validates an already-decoded command
+// response — the allocation-free half of CheckCommandResponse, for
+// callers (internal/server) that decode outside the verifier lock with
+// DecodeCommandRespInto. The nonce is looked up before any MAC work, and
+// every refusal returns a static error: ErrUnsolicited for a nonce no
+// command awaits. The response is only read, never retained.
+func (v *Verifier) CheckDecodedCommandResponse(resp *CommandResp) error {
 	req, ok := v.pendingCmds[resp.Nonce]
 	if !ok {
 		v.Unsolicited++
-		return nil, fmt.Errorf("protocol: command response to unknown nonce %d", resp.Nonce)
+		return ErrUnsolicited
 	}
 	if resp.Kind != req.Kind {
 		v.Rejected++
-		return nil, fmt.Errorf("protocol: command response kind %v for a %v command", resp.Kind, req.Kind)
+		return ErrCommandKind
 	}
-	if !resp.VerifyTag(v.attestKey) {
+	if !hmac.Equal(v.mac.commandTag(resp)[:], resp.Tag) {
 		v.Rejected++
-		return nil, errors.New("protocol: command response tag invalid")
+		return ErrCommandTag
 	}
 	delete(v.pendingCmds, resp.Nonce)
 	v.Accepted++
 	v.answered = true
-	return resp, nil
+	return nil
 }
 
 // Outstanding reports how many requests await responses.
@@ -438,14 +461,19 @@ type VerifierState struct {
 }
 
 // ExportState snapshots the verifier's freshness and fast-path state for
-// handoff to another daemon.
+// handoff to another daemon. The fast record goes out only when this
+// verifier would grant fast permission itself: while a full request newer
+// than the one that armed the record is outstanding, the device may
+// already hold a newer digest, and the importer — which learns nothing
+// about outstanding requests — would grant permission against the stale
+// one and refuse the honest fast answer (see NewRequest).
 func (v *Verifier) ExportState() VerifierState {
 	return VerifierState{
 		Counter:    v.counter,
 		NonceSeq:   v.nonceSeq,
 		FastEpoch:  v.fastEpoch,
 		FastDigest: v.fastDigest,
-		HaveFast:   v.haveFast,
+		HaveFast:   v.haveFast && v.armedBy >= v.lastFull,
 	}
 }
 
@@ -478,10 +506,5 @@ func (v *Verifier) ImportState(st VerifierState) {
 // compromise would otherwise let the adversary impersonate the verifier
 // to the whole fleet.
 func DeriveDeviceKey(master []byte, deviceID string) [sha1.Size]byte {
-	m := hmac.NewSHA1(master)
-	m.Write([]byte("K_Attest"))
-	m.Write([]byte(deviceID))
-	var out [sha1.Size]byte
-	copy(out[:], m.Sum(nil))
-	return out
+	return *NewMAC(master).Tag([]byte("K_Attest" + deviceID))
 }

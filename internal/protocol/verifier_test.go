@@ -368,3 +368,63 @@ func TestImportDropsPendingAndGatesFast(t *testing.T) {
 		t.Errorf("imported counter stream at %d, want 51", r.Counter)
 	}
 }
+
+// TestStateTransferWithholdsStaleFastRecord replays the handoff that
+// forgot the fast-permission rule: two full requests go out and the
+// prover measures both, only the older answer is verified before the
+// state is exported, and the newer answer is lost with the old owner.
+// The prover now holds the newer digest, so the importer must demand a
+// full MAC rather than grant fast permission against the older record,
+// and the honest answers must be accepted without a reject.
+func TestStateTransferWithholdsStaleFastRecord(t *testing.T) {
+	v1, fr, key := fastPair(t)
+	a, err := v1.NewRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := v1.NewRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var respA, respB AttResp
+	fr.RespondInto(a, &respA)
+	fr.RespondInto(b, &respB) // lost with the old owner
+	if ok, err := v1.CheckDecodedResponse(&respA); !ok {
+		t.Fatalf("answer to A refused: %v", err)
+	}
+	st := v1.ExportState()
+	if st.HaveFast {
+		t.Fatal("export carries a fast record while a newer full request is outstanding")
+	}
+
+	v2, err := NewVerifier(VerifierConfig{
+		Freshness:     FreshCounter,
+		Auth:          NewHMACAuth(key),
+		AttestKey:     key,
+		Golden:        fr.golden,
+		AllowFastPath: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2.ImportState(st)
+	for round := 0; round < 2; round++ {
+		req, err := v2.NewRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 && req.AllowFast {
+			t.Fatal("importer granted fast permission against a record the prover no longer holds")
+		}
+		var resp AttResp
+		if fast := fr.RespondInto(req, &resp); fast != (round == 1) {
+			t.Fatalf("round %d: fast=%v", round, fast)
+		}
+		if ok, err := v2.CheckDecodedResponse(&resp); !ok {
+			t.Fatalf("round %d: honest answer refused: %v", round, err)
+		}
+	}
+	if v2.Rejected != 0 {
+		t.Fatalf("importer rejected %d honest answers", v2.Rejected)
+	}
+}

@@ -275,10 +275,51 @@ func TestIssueOneAllocs(t *testing.T) {
 		}
 	}
 	issue() // warm up
-	if n := testing.AllocsPerRun(1000, issue); n > 11 {
-		t.Errorf("issueOne: %v allocs/request, want <= 11", n)
+	if n := testing.AllocsPerRun(1000, issue); n > 7 {
+		t.Errorf("issueOne: %v allocs/request, want <= 7", n)
 	}
 	if got := s.Counters().RequestsIssued; got != 1002 {
 		t.Fatalf("RequestsIssued = %d, want 1002", got)
+	}
+}
+
+// TestHandleFrameUnsolicitedCommandRespZeroAllocs covers the command
+// half of the attacker-reachable gate: a well-formed command response
+// answering no outstanding command is decoded in place, missed in the
+// pending map and refused with a static error before any MAC work.
+func TestHandleFrameUnsolicitedCommandRespZeroAllocs(t *testing.T) {
+	s, dev := newAllocRig(t)
+	frame := (&protocol.CommandResp{Kind: protocol.CmdClockSync, Nonce: 0xFEED, Tag: make([]byte, 20)}).Encode()
+	var g gateTally
+	allocsPerFrame(t, "unsolicited command response", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	s.publish(&g)
+	if s.Counters().ResponsesUnsolicited == 0 {
+		t.Fatal("unsolicited command responses not counted")
+	}
+}
+
+// TestHandleFrameFullAcceptZeroAllocs pins the full-MAC verdict: the
+// expected measurement is computed on the verifier's held MAC, so an
+// accepted full response costs the hash and no allocation.
+func TestHandleFrameFullAcceptZeroAllocs(t *testing.T) {
+	golden := make([]byte, 4096)
+	s, dev := newAllocRig(t, func(c *Config) { c.Golden = golden })
+	key := protocol.DeriveDeviceKey(testMaster, dev.id)
+	const rounds = 1100
+	frames := make([][]byte, 0, rounds)
+	for i := 0; i < rounds; i++ {
+		req, err := dev.v.NewRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := protocol.AttResp{Nonce: req.Nonce, Counter: req.Counter, Measurement: protocol.Measure(key[:], req, golden)}
+		frames = append(frames, resp.Encode())
+	}
+	var g gateTally
+	i := 0
+	allocsPerFrame(t, "full accept", 0, func() { s.handleFrame(&g, dev, nil, 0, frames[i]); i++ })
+	s.publish(&g)
+	if c := s.Counters(); c.ResponsesAccepted != uint64(i) || c.ResponsesRejected != 0 {
+		t.Fatalf("after %d full frames: %+v", i, c)
 	}
 }

@@ -542,3 +542,87 @@ func TestRestartDrillFsyncInterval(t *testing.T) {
 		t.Fatalf("adoptions: exact=%d jumped=%d, want 0/4", c.RecoveredExact, c.RecoveredJumped)
 	}
 }
+
+// TestExactRestartWithholdsStaleFastRecord replays the state-transfer
+// sequence through exact restart adoption under fsync=always: two full
+// requests go out and the device measures both, only the older answer
+// is accepted, and the daemon restarts. The device holds the newer
+// digest, so the restarted daemon must demand a full MAC, and the
+// device's honest answers must be accepted without a reject.
+func TestExactRestartWithholdsStaleFastRecord(t *testing.T) {
+	const id = "restart-fast-dev"
+	dir := t.TempDir()
+	golden := core.GoldenRAMPattern()
+	open := func() *Server {
+		ps := openPersistent(t, dir, PersistOptions{Fsync: journal.FsyncAlways})
+		s, err := New(Config{
+			Freshness:    protocol.FreshCounter,
+			Auth:         protocol.AuthHMACSHA1,
+			MasterSecret: testMaster,
+			Golden:       golden,
+			FastPath:     true,
+			Store:        ps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	key := protocol.DeriveDeviceKey(testMaster, id)
+	fr := protocol.NewFastResponder(key[:], golden)
+
+	s1 := open()
+	dev, err := s1.device(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The journal's flush loop snapshots the verifier under the device
+	// lock, so requests are issued under it, as issueOne does.
+	newRequest := func(d *deviceState) *protocol.AttReq {
+		t.Helper()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		req, err := d.v.NewRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	var resps [2]protocol.AttResp
+	for i := range resps {
+		req := newRequest(dev)
+		s1.persist.persistIssue(dev)
+		fr.RespondInto(req, &resps[i])
+	}
+	var g gateTally
+	if cause := s1.handleFrame(&g, dev, nil, 0, resps[0].Encode()); cause != causeNone {
+		t.Fatalf("older answer refused: cause %d", cause)
+	}
+	if err := s1.persist.Close(); err != nil { // the newer answer is lost
+		t.Fatal(err)
+	}
+
+	s2 := open()
+	dev2, err := s2.device(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s2.Counters(); c.RecoveredExact != 1 {
+		t.Fatalf("restart adoption not exact: %+v", c)
+	}
+	for round := 0; round < 2; round++ {
+		req := newRequest(dev2)
+		if round == 0 && req.AllowFast {
+			t.Fatal("restarted daemon granted fast permission against a digest the device no longer holds")
+		}
+		var resp protocol.AttResp
+		fr.RespondInto(req, &resp)
+		if cause := s2.handleFrame(&g, dev2, nil, 0, resp.Encode()); cause != causeNone {
+			t.Fatalf("round %d: honest answer refused: cause %d", round, cause)
+		}
+	}
+	s2.publish(&g)
+	if c := s2.Counters(); c.ResponsesRejected != 0 || c.ResponsesFast != 1 {
+		t.Fatalf("after restart: %+v", c)
+	}
+}

@@ -1119,21 +1119,24 @@ func (s *Server) onAttResp(dev *deviceState, frame []byte) rejectCause {
 }
 
 func (s *Server) onCommandResp(dev *deviceState, frame []byte) rejectCause {
-	var (
-		err   error
-		unsol bool
-	)
-	dev.withLock(func() {
-		u0 := dev.v.Unsolicited
-		_, err = dev.v.CheckCommandResponse(frame)
-		unsol = dev.v.Unsolicited > u0
-	})
-	switch {
-	case err == nil:
+	// As onAttResp: decode outside the lock into a stack value whose body
+	// and tag alias the frame, then a lock without a closure. The verifier
+	// looks the nonce up before any MAC work, so an unsolicited frame
+	// costs no allocation.
+	var resp protocol.CommandResp
+	if err := protocol.DecodeCommandRespInto(frame, &resp); err != nil {
+		return causeCommandRejected
+	}
+	mu := &dev.mu
+	mu.Lock()
+	err := dev.v.CheckDecodedCommandResponse(&resp)
+	mu.Unlock()
+	switch err {
+	case nil:
 		s.m.responsesAccepted.Inc()
 		s.releaseInflight()
 		return causeNone
-	case unsol:
+	case protocol.ErrUnsolicited:
 		return causeUnsolicited
 	default:
 		return causeCommandRejected

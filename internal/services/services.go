@@ -9,12 +9,12 @@
 package services
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
 
 	"proverattest/internal/anchor"
 	"proverattest/internal/crypto/cost"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 )

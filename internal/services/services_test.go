@@ -2,11 +2,11 @@ package services_test
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"testing"
 
 	"proverattest/internal/anchor"
 	"proverattest/internal/core"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 	"proverattest/internal/services"

@@ -26,7 +26,7 @@ func TestNodeFoldZeroAllocs(t *testing.T) {
 	reqs := make([]*protocol.SwarmReq, rounds)
 	for i := range reqs {
 		reqs[i] = &protocol.SwarmReq{Nonce: uint64(i + 1), Root: 0}
-		reqs[i].Sign(sk[:])
+		reqs[i].Sign(protocol.NewMAC(sk[:]))
 	}
 	child := &protocol.SwarmResp{Root: 1, Depth: 1, Bitmap: []byte{0x0A}}
 	for i := range child.Aggregate {

@@ -111,19 +111,14 @@ func RunCrossover(sizes []int, fanout, memSize int) (CrossoverReport, error) {
 		// 1:1 protocol's verifier work, N times per fleet round. The
 		// image MAC cannot be memoized across devices or rounds: it is
 		// keyed per device and bound to the fresh request.
-		reqHdr := make([]byte, 34)
-		var tag [20]byte
+		var attReq protocol.AttReq
+		reqHdr := attReq.AppendSignedBytes(nil)
 		start := time.Now()
 		for it := 0; it < iters; it++ {
 			for d := 0; d < n; d++ {
 				mac := v.macs[d]
-				mac.Reset()
-				mac.Write(reqHdr)
-				mac.SumInto(&tag) // request tag
-				mac.Reset()
-				mac.Write(reqHdr)
-				mac.Write(golden)
-				mac.SumInto(&tag) // expected response MAC over the image
+				mac.Tag(reqHdr)              // request tag
+				mac.Measure(&attReq, golden) // expected response MAC over the image
 			}
 		}
 		pt.DirectVerifyUS = float64(time.Since(start).Microseconds()) / iters

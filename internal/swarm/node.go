@@ -1,10 +1,10 @@
 package swarm
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
 	"errors"
 
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/protocol"
 )
 
@@ -14,14 +14,15 @@ import (
 // Mesh of Nodes as its in-process device fabric; the crossover harness
 // times rounds over them. Begin/AddChild/FinishInto are allocation-free
 // after warm-up — the per-hop aggregate fold is a hot path on hardware
-// that has no allocator at all, and the host model keeps that honest.
+// that has no allocator at all, and the host model keeps that honest. A
+// Node holds two MACs and is not safe for concurrent use.
 type Node struct {
 	// Index is the member's tree index (bitmap bit, own-tag binding).
 	Index uint16
 
 	mem   []byte
-	mac   *hmac.MAC // keyed K_Attest
-	gate  *hmac.MAC // keyed K_Swarm
+	mac   *protocol.MAC // keyed K_Attest
+	gate  *protocol.MAC // keyed K_Swarm
 	fleet int
 
 	lastNonce uint64
@@ -44,7 +45,6 @@ type Node struct {
 	depth   uint8
 	bitmap  []byte
 	signed  []byte
-	gateTag [sha1.Size]byte
 
 	Stats NodeStats
 }
@@ -73,8 +73,8 @@ func NewNode(index int, key, swarmKey, mem []byte, fleet int) *Node {
 	return &Node{
 		Index:  uint16(index),
 		mem:    append([]byte(nil), mem...),
-		mac:    hmac.NewSHA1(key),
-		gate:   hmac.NewSHA1(swarmKey),
+		mac:    protocol.NewMAC(key),
+		gate:   protocol.NewMAC(swarmKey),
 		fleet:  fleet,
 		bitmap: make([]byte, protocol.SwarmBitmapLen(fleet)),
 		signed: make([]byte, 0, 32),
@@ -106,10 +106,7 @@ func (n *Node) Epoch() uint32 { return n.epoch }
 // Allocation-free after the first call.
 func (n *Node) Begin(req *protocol.SwarmReq) error {
 	n.signed = req.AppendSignedBytes(n.signed[:0])
-	n.gate.Reset()
-	n.gate.Write(n.signed)
-	n.gate.SumInto(&n.gateTag)
-	if !hmac.Equal(n.gateTag[:], req.Tag) {
+	if !hmac.Equal(n.gate.Tag(n.signed)[:], req.Tag) {
 		n.Stats.Rejected++
 		return ErrNodeAuth
 	}

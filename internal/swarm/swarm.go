@@ -26,9 +26,9 @@
 package swarm
 
 import (
+	"crypto/sha1"
 	"fmt"
 
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/protocol"
 )
 

@@ -1,12 +1,12 @@
 package swarm
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
 	"errors"
 	"fmt"
 
 	"proverattest/internal/core"
-	"proverattest/internal/crypto/hmac"
-	"proverattest/internal/crypto/sha1"
 	"proverattest/internal/protocol"
 )
 
@@ -14,15 +14,17 @@ import (
 // aggregate from per-device verified state — golden memory digests
 // (memoized once per device, request-independent) and expected monitor
 // epochs — in one allocation-free pass over the subtree, then drives
-// bisection down the tree when the aggregate disagrees.
+// bisection down the tree when the aggregate disagrees. A Verifier holds
+// one MAC per member and one under K_Swarm; it is not safe for concurrent
+// use.
 type Verifier struct {
 	topo  *core.Topology
 	fleet int // fixed member-index space; survives Without rebuilds
 
-	swarmKey [sha1.Size]byte
-	macs     []*hmac.MAC       // per member, keyed K_Attest
-	memDig   [][sha1.Size]byte // memoized HMAC(K_i, "swarm-mem-v1" ‖ golden)
-	epoch    []uint32          // expected monitor epoch per member
+	gate   *protocol.MAC     // keyed K_Swarm: request tags
+	macs   []*protocol.MAC   // per member, keyed K_Attest
+	memDig [][sha1.Size]byte // memoized HMAC(K_i, "swarm-mem-v1" ‖ golden)
+	epoch  []uint32          // expected monitor epoch per member
 
 	treeID uint64
 	nonce  uint64
@@ -65,22 +67,22 @@ func NewVerifier(p Params) (*Verifier, error) {
 	n := len(p.IDs)
 	sk := protocol.DeriveSwarmKey(p.Master)
 	v := &Verifier{
-		topo:     core.NewTopology(n, p.Fanout, p.Seed),
-		fleet:    n,
-		swarmKey: sk,
-		macs:     make([]*hmac.MAC, n),
-		memDig:   make([][sha1.Size]byte, n),
-		epoch:    make([]uint32, n),
-		aggs:     make([][sha1.Size]byte, n),
-		signed:   make([]byte, 0, 32),
-		kidbuf:   make([]int, 0, 16),
+		topo:   core.NewTopology(n, p.Fanout, p.Seed),
+		fleet:  n,
+		gate:   protocol.NewMAC(sk[:]),
+		macs:   make([]*protocol.MAC, n),
+		memDig: make([][sha1.Size]byte, n),
+		epoch:  make([]uint32, n),
+		aggs:   make([][sha1.Size]byte, n),
+		signed: make([]byte, 0, 32),
+		kidbuf: make([]int, 0, 16),
 	}
 	// Tree id binds fleet size, fanout and permutation seed — enough to
 	// detect a topology-generation mismatch between coordinator restarts.
 	v.treeID = uint64(n)<<40 ^ uint64(uint32(v.topo.Fanout()))<<32 ^ uint64(uint32(p.Seed))
 	for i := range p.IDs {
 		key := p.deviceKey(i)
-		v.macs[i] = hmac.NewSHA1(key[:])
+		v.macs[i] = protocol.NewMAC(key[:])
 		protocol.SwarmMemDigestInto(v.macs[i], p.Golden, &v.memDig[i])
 		v.epoch[i] = 1
 	}
@@ -129,7 +131,7 @@ func (v *Verifier) NewRequest(root int, ownOnly bool) *protocol.SwarmReq {
 		Nonce:   v.nonce,
 		TreeID:  v.treeID,
 	}
-	req.Sign(v.swarmKey[:])
+	req.Sign(v.gate)
 	return req
 }
 
