@@ -164,7 +164,9 @@ func TestNewAuthenticatorFactory(t *testing.T) {
 	if _, err := NewAuthenticator(AuthKind(99), testKey16); err == nil {
 		t.Error("factory built an unknown kind")
 	}
-	if _, err := NewAuthenticator(AuthAESCBCMAC, []byte("short")); err == nil {
-		t.Error("factory accepted a short AES key")
+	for _, n := range []int{0, 5, 15, 17, 24, 32} {
+		if _, err := NewAuthenticator(AuthAESCBCMAC, make([]byte, n)); err == nil {
+			t.Errorf("factory accepted a %d-byte AES key, want AES-128 only", n)
+		}
 	}
 }

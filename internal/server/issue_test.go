@@ -132,6 +132,29 @@ func TestMuteSessionHoldsOnlyItself(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsShareOneDevice: three sessions name one device
+// and answer at once. Their issue and read loops share the device's
+// verifier and the keyed MACs it and its authenticator hold, which are
+// not safe for concurrent use; the device lock serialises them, and the
+// ci.yml race step runs this test to keep it so. Every answer is
+// accepted.
+func TestConcurrentSessionsShareOneDevice(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.AttestEvery = 5 * time.Millisecond })
+	for i := 0; i < 3; i++ {
+		session(t, s, "shared-dev", 0)
+	}
+	waitFor(t, 10*time.Second, "30 accepted rounds across the sessions", func() bool {
+		return s.Counters().ResponsesAccepted >= 30
+	})
+	c := s.Counters()
+	if rejected := c.ResponsesRejected + c.ResponsesUnsolicited; rejected != 0 {
+		t.Fatalf("%d rejects across sessions of one device: %v", rejected, c)
+	}
+	if n := s.Devices(); n != 1 {
+		t.Fatalf("Devices = %d, want 1", n)
+	}
+}
+
 // TestRefusedAnswerKeepsTheRequest: an answer refused as a wrong
 // measurement or as a fast MAC that does not match the record — sent here
 // by a second session naming the device, ahead of the device's own —
