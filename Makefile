@@ -88,9 +88,9 @@ attest-loadgen:
 	$(GO) build -o bin/attest-loadgen ./cmd/attest-loadgen
 
 # Coverage gate for the networked stack. Floors sit a few points below
-# current coverage (transport ~90%, agent ~91%, server ~85%) so
-# timing-dependent branches don't flake the gate while a real regression
-# still fails it.
+# current coverage (transport ~95%, agent ~94%, server ~88%, admin ~91%)
+# so timing-dependent branches don't flake the gate while a real
+# regression still fails it.
 cover:
 	@mkdir -p bin
 	@set -e; \
@@ -102,9 +102,9 @@ cover:
 		awk -v p="$$pct" -v f="$$floor" 'BEGIN { exit (p + 0 < f + 0) ? 1 : 0 }' \
 			|| { echo "FAIL: $$pkg coverage $$pct% is below the $$floor% floor"; exit 1; }; \
 	}; \
-	check internal/transport 85; \
+	check internal/transport 92; \
 	check internal/agent 85; \
-	check internal/server 78; \
+	check internal/server 85; \
 	check internal/admin 85
 
 # Control-plane acceptance check: the admin HTTP handlers (auth matrix,

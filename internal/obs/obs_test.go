@@ -243,8 +243,8 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		"Histogram.overflow":    func() { h.Observe(time.Minute) },
 		"nil Counter.Inc":       func() { nilC.Inc() },
 		"nil Histogram.Observe": func() { nilH.Observe(time.Second) },
-		"HistogramTally.Observe+Flush": func() {
-			tally.Observe(17 * time.Microsecond)
+		"HistogramTally.ObserveN+Flush": func() {
+			tally.ObserveN(3*time.Microsecond, 5)
 			tally.Flush()
 		},
 	} {
@@ -257,8 +257,10 @@ func TestRecordingZeroAllocs(t *testing.T) {
 
 // TestHistogramTallyMatchesObserve: a tally flushed into one histogram
 // leaves exactly the buckets, count and sum that observing every sample
-// straight into another leaves, across several flushes; observations
-// show only once flushed; and a nil histogram's tally records nothing.
+// straight into another leaves, across several flushes, whether it takes
+// the samples one at a time or ObserveN(d, n) takes n samples of d at
+// once; observations show only once flushed; and a nil histogram's tally
+// records nothing.
 func TestHistogramTallyMatchesObserve(t *testing.T) {
 	bounds := []time.Duration{time.Microsecond, time.Millisecond, time.Second}
 	direct := New()
@@ -266,44 +268,58 @@ func TestHistogramTallyMatchesObserve(t *testing.T) {
 	tallied := New()
 	got := tallied.Histogram("lat_seconds", "", bounds)
 	tally := got.Tally()
+	batched := New()
+	gotN := batched.Histogram("lat_seconds", "", bounds)
+	tallyN := gotN.Tally()
 	samples := []time.Duration{0, 500 * time.Nanosecond, time.Microsecond, 3 * time.Microsecond,
 		time.Millisecond, 2 * time.Second, 999 * time.Millisecond, time.Hour}
 	for round := 0; round < 3; round++ {
 		for i, d := range samples {
-			want.Observe(d * time.Duration(round+1))
-			tally.Observe(d * time.Duration(round+1))
+			d *= time.Duration(round + 1)
+			n := uint64(i+round) % 4 // zero observations included
+			for k := uint64(0); k < n; k++ {
+				want.Observe(d)
+				tally.ObserveN(d, 1)
+			}
+			tallyN.ObserveN(d, n)
 			if i == 3 && round == 1 {
 				tally.Flush() // a flush mid-batch changes nothing either
 			}
 		}
-		if round == 0 && got.Count() != 0 {
-			t.Fatalf("unflushed tally already shows %d observations", got.Count())
+		if round == 0 && (got.Count() != 0 || gotN.Count() != 0) {
+			t.Fatalf("unflushed tallies already show %d and %d observations", got.Count(), gotN.Count())
 		}
 		tally.Flush()
 		tally.Flush() // an empty flush is a no-op
+		tallyN.Flush()
 	}
-	if got.Count() != want.Count() || got.Sum() != want.Sum() {
-		t.Fatalf("tally count/sum = %d/%v, per-sample observe = %d/%v", got.Count(), got.Sum(), want.Count(), want.Sum())
-	}
-	for i := range want.counts {
-		if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
-			t.Fatalf("bucket %d: tally %d, per-sample observe %d", i, g, w)
-		}
-	}
-	var a, b strings.Builder
+	var a strings.Builder
 	if err := direct.WritePrometheus(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := tallied.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	for name, h := range map[string]*Histogram{"one at a time": got, "n at once": gotN} {
+		if h.Count() != want.Count() || h.Sum() != want.Sum() {
+			t.Fatalf("tally %s count/sum = %d/%v, per-sample observe = %d/%v", name, h.Count(), h.Sum(), want.Count(), want.Sum())
+		}
+		for i := range want.counts {
+			if g, w := h.counts[i].Load(), want.counts[i].Load(); g != w {
+				t.Fatalf("bucket %d: tally %s %d, per-sample observe %d", i, name, g, w)
+			}
+		}
 	}
-	if a.String() != b.String() {
-		t.Fatalf("expositions differ:\n%s\nvs\n%s", a.String(), b.String())
+	for name, r := range map[string]*Registry{"one at a time": tallied, "n at once": batched} {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("tally %s exposition differs:\n%s\nvs\n%s", name, a.String(), b.String())
+		}
 	}
 
 	var nilH *Histogram
 	for _, nt := range []HistogramTally{nilH.Tally(), {}} {
-		nt.Observe(time.Second)
+		nt.ObserveN(time.Second, 3)
 		nt.Flush()
 	}
 	if nilH.Count() != 0 {

@@ -78,7 +78,10 @@ type VerifierConfig struct {
 	// AttestKey is K_Attest, shared with the prover's trust anchor, used
 	// to validate measurement responses.
 	AttestKey []byte
-	// Golden is the expected content of the prover's measured memory.
+	// Golden is the expected content of the prover's measured memory. The
+	// verifier keeps this slice and only reads it, so verifiers of a fleet
+	// that boots one image can share one copy; the caller must not write
+	// to it afterwards.
 	Golden []byte
 	// Clock returns the verifier's current time in prover-clock
 	// milliseconds. Timestamp freshness assumes the two clocks are
@@ -104,7 +107,7 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 		freshness:   cfg.Freshness,
 		auth:        cfg.Auth,
 		mac:         NewMAC(cfg.AttestKey),
-		golden:      append([]byte(nil), cfg.Golden...),
+		golden:      cfg.Golden,
 		clock:       cfg.Clock,
 		allowFast:   cfg.AllowFastPath,
 		pending:     make(map[uint64]*pendingAtt),

@@ -248,3 +248,59 @@ func TestGateSecondsObservesEveryRejectOnly(t *testing.T) {
 	t.Logf("%v rejects observed, %d responses and %d stats reports accepted unobserved",
 		observed, c.ResponsesAccepted, c.StatsReports)
 }
+
+// TestGateSecondsOneSamplePerRejectInARead: one socket read of N frames,
+// R of them rejects, adds exactly R attestd_gate_seconds samples. Each is
+// the read's serve time divided by N, so together they sum to at most the
+// time the read took to serve.
+func TestGateSecondsOneSamplePerRejectInARead(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.AttestEvery = time.Hour })
+	client, nc := net.Pipe()
+	defer client.Close()
+	serveDevice(t, s, client, nc, "batch-dev")
+	waitFor(t, 5*time.Second, "the session to open", func() bool { return s.Counters().ConnsAccepted == 1 })
+
+	// Every fourth frame is a stats report, which the gate accepts; the
+	// rest are the hostile mix.
+	const frames, rejects = 40, 30
+	stats := (&protocol.StatsReport{Received: 1}).Encode()
+	mix, ends := gateMix(rejects)
+	var wire []byte
+	for i, k := 0, 0; i < frames; i++ {
+		if i%4 == 3 {
+			wire = transport.AppendFrame(wire, stats)
+			continue
+		}
+		from := 0
+		if k > 0 {
+			from = ends[k-1]
+		}
+		wire = append(wire, mix[from:ends[k]]...)
+		k++
+	}
+	// net.Pipe hands a write to a single read when the reader's buffer
+	// holds it, so the serve loop takes these frames in as one batch.
+	if len(wire) > 4096 {
+		t.Fatalf("%d-byte write does not fit one 4 KiB read", len(wire))
+	}
+	began := time.Now()
+	if _, err := client.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the read to be served", func() bool { return s.Counters().FramesIn == frames })
+	window := time.Since(began)
+
+	c := s.Counters()
+	if got := c.ResponsesUnsolicited + c.ResponsesMalformed + c.UnknownFrames; got != rejects || c.StatsReports != frames-rejects {
+		t.Fatalf("%d rejects and %d stats reports served, want %d and %d", got, c.StatsReports, rejects, frames-rejects)
+	}
+	h := s.m.gateLat
+	if h.Count() != rejects {
+		t.Fatalf("attestd_gate_seconds_count = %d, want one sample per reject: %d", h.Count(), rejects)
+	}
+	if sum := h.Sum(); sum > window || sum%rejects != 0 {
+		t.Fatalf("attestd_gate_seconds_sum = %v over %d equal samples, want a multiple of %d at most the %v the read was served within",
+			sum, rejects, rejects, window)
+	}
+	t.Logf("%d samples summing to %v, read served within %v", h.Count(), h.Sum(), window)
+}

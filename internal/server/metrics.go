@@ -47,8 +47,8 @@ var causeLabels = [numCauses]string{
 // serving path touches, as obs instruments registered once at
 // construction. The hot-path contract is inherited from internal/obs —
 // recording allocates nothing, and the per-frame counts are tallied in
-// plain integers by each serve loop and published when its read buffer
-// runs dry (gateTally) — so the gate's reject paths stay as cheap
+// plain integers by each serve loop and published once per socket read
+// (gateTally) — so the gate's reject paths stay as cheap
 // instrumented as they were bare (pinned by the alloc tests in
 // alloc_test.go).
 //
@@ -128,8 +128,9 @@ type serverMetrics struct {
 	adminOverrides *obs.Counter
 	adminDrains    *obs.Counter
 
-	// gateLat times frames that die at the serving gate (observed by the
-	// serve loop, see handleConnInner); attestLat times accepted
+	// gateLat times frames that die at the serving gate, one sample per
+	// reject at its socket read's mean per-frame serve time (observed by
+	// the serve loop, see handleConnInner); attestLat times accepted
 	// attestation rounds issue-to-accept. The mass separation between the
 	// two histograms is the paper's asymmetry, live.
 	gateLat   *obs.Histogram
@@ -196,7 +197,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		adminOverrides: reg.Counter("attestd_admin_actions_total", adminActionsHelp, obs.L("action", "tier_override")),
 		adminDrains:    reg.Counter("attestd_admin_actions_total", adminActionsHelp, obs.L("action", "drain")),
 
-		gateLat:   reg.Histogram("attestd_gate_seconds", "Serve-loop time of frames that died at the serving gate, from the previous frame's end or the read's return after a wait.", nil),
+		gateLat:   reg.Histogram("attestd_gate_seconds", "Serve-loop time of frames that died at the serving gate: one sample per reject, the serve time of its socket read's frames divided by their count, waits excluded.", nil),
 		attestLat: reg.Histogram("attestd_attest_seconds", "Issue-to-accept round-trip of honest attestation requests.", nil),
 		fsyncLat:  reg.Histogram("attestd_fsync_seconds", "Latency of journal fsyncs forced by the persistence durability policy.", nil),
 

@@ -16,6 +16,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -43,7 +44,8 @@ type Config struct {
 	// (protocol.DeriveDeviceKey); required.
 	MasterSecret []byte
 	// Golden is the expected measured-memory image shared by the fleet
-	// (core.GoldenRAMPattern for simulated agents); required.
+	// (core.GoldenRAMPattern for simulated agents); required. New keeps one
+	// copy, which every device's verifier shares.
 	Golden []byte
 	// ECDSAKey signs requests when Auth == AuthECDSA.
 	ECDSAKey *ecc.PrivateKey
@@ -443,6 +445,7 @@ func New(cfg Config) (*Server, error) {
 			cfg.PerConnBurst = int(cfg.PerConnRatePerSec)
 		}
 	}
+	cfg.Golden = bytes.Clone(cfg.Golden)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.New()
@@ -545,7 +548,7 @@ var errDeviceTableFull = errors.New("server: device table full")
 
 // device returns the per-prover state, creating it (and its verifier) on
 // first contact. Construction — key derivation, authenticator setup and a
-// verifier holding its own golden-image copy — happens *outside* the
+// verifier over the daemon's one golden image — happens *outside* the
 // shard lock: it is the expensive part of a cold start, and holding the
 // stripe mutex through it would let a burst of unknown IDs stall every
 // established device on the same shard. The lock then covers only a
@@ -927,22 +930,22 @@ func (s *Server) handleConnInner(nc net.Conn) {
 	// the per-frame path.
 	dev.setTier(s.tiers.resolve(hello.DeviceID, hello.Tier))
 
-	// The gate clock: one monotonic reading per frame, taken when the frame
-	// is done. A frame served from the read buffer (the previous receive
-	// reported more) starts where the previous one ended, so that reading
-	// does double duty; any other frame starts when its receive returns,
-	// so a wait (the peer's time, not the gate's) is never counted. A
-	// frame's start is also the reading its admission buckets refill on.
+	// The gate clock: two monotonic readings per socket read. Each receive
+	// returns every whole frame the read buffer holds as one batch; the
+	// first reading is taken when the batch returns, after any wait (the
+	// peer's time, not the gate's), and every frame of the batch is
+	// admitted at it. The second is taken after the batch's last frame.
+	// Each reject in the batch is one attestd_gate_seconds sample of the
+	// batch's serve time divided by its frame count, so the samples number
+	// the rejects exactly and sum to at most the time spent serving them.
 	g := gateTally{lat: s.m.gateLat.Tally()}
 	defer s.publish(&g)
-	start := monoNow()
-	bucket := dev.tier.Load().connBucketAt(start)
-	buffered := false
+	bucket := dev.tier.Load().connBucketAt(monoNow())
 	for {
-		// The frame aliases the connection's reusable buffer: every handler
+		// The frames alias the connection's read buffer: every handler
 		// below either decodes into value types or copies what it keeps, so
 		// nothing aliases the buffer past handleFrame's return.
-		frame, more, err := tc.RecvSharedBuffered()
+		batch, err := tc.RecvBatch()
 		if err != nil {
 			// A deadline expiry here means the peer completed no frame for
 			// a whole ReadTimeout: the post-hello slow-loris. The return
@@ -952,18 +955,16 @@ func (s *Server) handleConnInner(nc net.Conn) {
 			}
 			return
 		}
-		if !buffered {
-			start = monoNow()
+		start := monoNow()
+		var frames, rejects uint64
+		for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+			if s.handleFrame(&g, dev, bucket, start, frame) != causeNone {
+				rejects++
+			}
+			frames++
 		}
-		cause := s.handleFrame(&g, dev, bucket, start, frame)
-		end := monoNow()
-		if cause != causeNone {
-			g.lat.Observe(end - start)
-		}
-		if !more {
-			s.publish(&g)
-		}
-		start, buffered = end, more
+		g.lat.ObserveN((monoNow()-start)/time.Duration(frames), rejects)
+		s.publish(&g)
 	}
 }
 
@@ -971,11 +972,11 @@ func (s *Server) handleConnInner(nc net.Conn) {
 // its frames by outcome, the tier they were admitted against, and its
 // attestd_gate_seconds samples, all in plain integers on the loop's own
 // goroutine. publish adds the tally to the shared series with one atomic
-// add per touched series. The loop publishes whenever its read buffer
-// holds no whole frame and when its connection ends, so every series is
-// exact whenever the connection waits on its socket and lags by at most
-// one read buffer while it is busy. The zero value is ready to use; it
-// keeps no gate samples.
+// add per touched series. The loop publishes after each socket read's
+// batch of frames and when its connection ends, so every series is exact
+// whenever the connection waits on its socket and lags by at most one
+// read while it is busy. The zero value is ready to use; it keeps no gate
+// samples.
 type gateTally struct {
 	frames [numCauses]uint64 // by outcome; frames[causeNone] were accepted
 	tier   *tier             // the tier every frame past the connection's bucket met
@@ -1012,15 +1013,15 @@ func (s *Server) publish(g *gateTally) {
 
 // handleFrame is the per-frame serving path: admission buckets,
 // classify, dispatch. now is the serve loop's monotonic reading for the
-// frame (see monoNow); the per-connection, tier-wide and daemon-wide
-// buckets all refill on it, so admission reads no clock. It tallies the
-// frame in g and returns why it died at the gate — every reject cause,
-// from the admission buckets to a mismatched measurement — or causeNone
-// for an accepted frame, so the serve loop can time rejects into
-// attestd_gate_seconds. It must stay allocation-free for frames that die
-// at the gate (rate- or tier-limited, unknown, unsolicited): a hostile
-// peer chooses how often those branches run. frame is only valid for the
-// duration of the call.
+// socket read that brought the frame (see monoNow); the per-connection,
+// tier-wide and daemon-wide buckets all refill on it, so admission reads
+// no clock. It tallies the frame in g and returns why it died at the
+// gate — every reject cause, from the admission buckets to a mismatched
+// measurement — or causeNone for an accepted frame, so the serve loop can
+// count the samples it adds to attestd_gate_seconds. It must stay
+// allocation-free for frames that die at the gate (rate- or tier-limited,
+// unknown, unsolicited): a hostile peer chooses how often those branches
+// run. frame is only valid for the duration of the call.
 func (s *Server) handleFrame(g *gateTally, dev *deviceState, bucket *tokenBucket, now time.Duration, frame []byte) rejectCause {
 	cause := s.admit(g, dev, bucket, now)
 	if cause == causeNone {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,17 @@ func testServer(t *testing.T, mutate func(*Config)) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// measuredAll reports whether every agent has answered at least n
+// attestation requests.
+func measuredAll(agents []*agent.Agent, n uint64) bool {
+	for _, a := range agents {
+		if a.Snapshot().Measurements < n {
+			return false
+		}
+	}
+	return true
 }
 
 func testAgent(t *testing.T, id string) *agent.Agent {
@@ -99,8 +111,10 @@ func TestHonestRoundsOverTCP(t *testing.T) {
 	defer cancel()
 	const agents = 4
 	var wg sync.WaitGroup
-	for i := 0; i < agents; i++ {
+	all := make([]*agent.Agent, agents)
+	for i := range all {
 		a := testAgent(t, fmt.Sprintf("tcp-dev-%d", i))
+		all[i] = a
 		nc, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -112,6 +126,9 @@ func TestHonestRoundsOverTCP(t *testing.T) {
 		}()
 	}
 
+	// Fleet-wide totals alone can be reached by three agents before the
+	// fourth has said hello, so wait for every agent's own measurement.
+	waitFor(t, 15*time.Second, "a measurement by every agent", func() bool { return measuredAll(all, 1) })
 	waitFor(t, 15*time.Second, "one accepted measurement per agent", func() bool {
 		return s.Counters().ResponsesAccepted >= agents
 	})
@@ -339,6 +356,32 @@ func TestDeviceCreationRaceSingleInsert(t *testing.T) {
 	if n := s.deviceCount.Load(); n != 1 {
 		t.Fatalf("deviceCount = %d after race, want 1", n)
 	}
+}
+
+// TestDevicesShareTheGoldenImage: every device's verifier reads the
+// daemon's one copy of the golden image, so a device costs kilobytes of
+// live heap, not another copy of the 512 KiB image.
+func TestDevicesShareTheGoldenImage(t *testing.T) {
+	const devices = 64
+	s := testServer(t, nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < devices; i++ {
+		if _, err := s.device(fmt.Sprintf("golden-dev-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s.Devices() != devices {
+		t.Fatalf("Devices = %d, want %d", s.Devices(), devices)
+	}
+	perDevice := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / devices
+	if perDevice >= 64<<10 {
+		t.Fatalf("%d bytes of live heap per device, want under 64 KiB", perDevice)
+	}
+	t.Logf("%d bytes of live heap per device", perDevice)
 }
 
 // TestDeviceTableCap: identities past Config.MaxDevices are refused at

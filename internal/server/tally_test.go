@@ -11,9 +11,9 @@ import (
 )
 
 // The serve loop's tally (gateTally) and the transport's per-Conn counts
-// publish whenever the read buffer runs dry and when the connection ends:
-// exact whenever the connection waits on its socket, and moving while a
-// flood keeps it busy.
+// publish once per socket read and when the connection ends: exact
+// whenever the connection waits on its socket, and moving while a flood
+// keeps it busy.
 
 // TestGateCountsExactAtIdle: K mixed hostile frames in one write, read in
 // several socket reads. Once the serve loop waits on its socket again,

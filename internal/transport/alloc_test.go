@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"proverattest/internal/obs"
 )
 
 // sinkConn is a net.Conn that swallows writes and reports EOF on reads —
@@ -100,6 +102,42 @@ func TestReadFrameIntoGrowsAndAliases(t *testing.T) {
 	}
 	if &frame[0] != &adopted[0] {
 		t.Fatal("second frame did not reuse the adopted scratch")
+	}
+}
+
+// TestRecvBatchZeroAllocs pins the batch receive of a 256-frame write at
+// zero allocations, counts published included. The write is larger than
+// the read buffer, so the frames arrive in two batches, the second led by
+// the frame the first read cut in two.
+func TestRecvBatchZeroAllocs(t *testing.T) {
+	const frames = 256
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		stream = AppendFrame(stream, bytes.Repeat([]byte{byte(i)}, 16))
+	}
+	if len(stream) <= readBufSize {
+		t.Fatalf("a %d-byte write fits one read; the test needs more", len(stream))
+	}
+	m := NewMetrics(obs.New())
+	r := bytes.NewReader(stream)
+	c := NewConn(streamConn{r}, Options{Metrics: m})
+	assertZeroAllocs(t, "Conn.RecvBatch", func() {
+		r.Reset(stream)
+		for n := 0; n < frames; {
+			batch, err := c.RecvBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+				if len(frame) != 16 || frame[0] != byte(n) {
+					t.Fatalf("frame %d: %d bytes starting %d", n, len(frame), frame[0])
+				}
+				n++
+			}
+		}
+	})
+	if m.FramesIn.Load()%frames != 0 || m.FramesIn.Load() == 0 {
+		t.Fatalf("published %d frames, want whole 256-frame writes", m.FramesIn.Load())
 	}
 }
 

@@ -36,8 +36,10 @@ func sameErrorClass(a, b error) bool {
 // FuzzReadFrame: the codec must never panic or over-allocate on malformed
 // length prefixes, truncated frames or oversized frames, and any frame it
 // accepts must re-encode to a prefix of the input (framing is a bijection
-// on the accepted stream). Conn's buffered read path must agree with
-// ReadFrame frame by frame, however the stream is split into reads.
+// on the accepted stream). Conn's buffered read paths, one frame at a time
+// (Recv) and a batch at a time (RecvBatch), must agree with ReadFrame frame
+// by frame and in the error that ends the stream, however the stream is
+// split into reads.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, []byte{0x41, 0x52, 0x01}), uint8(0))
 	f.Add(AppendFrame(nil, bytes.Repeat([]byte{0xEE}, 512)), uint8(7))
@@ -46,17 +48,38 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 0, 1, 2}, uint8(3))                                    // truncated payload
 	f.Add([]byte{1, 0}, uint8(0))                                                // truncated prefix
 	f.Add(AppendFrame(AppendFrame(nil, make([]byte, 1)), []byte{9}), uint8(255)) // minimal frames
+	f.Add(append(AppendFrame(nil, []byte{7}), 0, 0, 0, 0), uint8(63))            // bad prefix behind a frame
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		const maxFrame = 1 << 16
+		chunked := func() *Conn {
+			return NewConn(&chunkConn{r: bytes.NewReader(data), chunk: int(chunk)%64 + 1}, Options{MaxFrame: maxFrame})
+		}
 		r := bytes.NewReader(data)
-		c := NewConn(&chunkConn{r: bytes.NewReader(data), chunk: int(chunk)%64 + 1}, Options{MaxFrame: maxFrame})
+		c, bc := chunked(), chunked()
+		var batch Batch
+		recvBatched := func() ([]byte, error) {
+			if frame, ok := batch.Next(); ok {
+				return frame, nil
+			}
+			var err error
+			if batch, err = bc.RecvBatch(); err != nil {
+				return nil, err
+			}
+			frame, _ := batch.Next()
+			return frame, nil
+		}
 		consumed := 0
 		for {
 			payload, err := ReadFrame(r, maxFrame)
 			got, cerr := c.Recv()
+			batched, berr := recvBatched()
 			if !sameErrorClass(err, cerr) || !bytes.Equal(payload, got) {
 				t.Fatalf("after %d bytes: ReadFrame = %d bytes, %v; Conn.Recv = %d bytes, %v",
 					consumed, len(payload), err, len(got), cerr)
+			}
+			if !sameErrorClass(err, berr) || !bytes.Equal(payload, batched) {
+				t.Fatalf("after %d bytes: ReadFrame = %d bytes, %v; Conn.RecvBatch = %d bytes, %v",
+					consumed, len(payload), err, len(batched), berr)
 			}
 			if err != nil {
 				return

@@ -57,7 +57,9 @@ func TestConnMetricsAccounting(t *testing.T) {
 // TestRecvCountsPublishWhenBufferRunsDry: frames received while another
 // whole frame is buffered are counted on the Conn and reach the shared
 // series, exactly, once the buffer runs dry — before the next receive can
-// wait. Close publishes what a caller left unreceived behind.
+// wait. A batch runs the buffer dry, so it publishes once for itself and
+// for the receives before it. Close publishes what a caller left
+// unreceived behind.
 func TestRecvCountsPublishWhenBufferRunsDry(t *testing.T) {
 	m := NewMetrics(obs.New())
 	var wire []byte
@@ -66,31 +68,29 @@ func TestRecvCountsPublishWhenBufferRunsDry(t *testing.T) {
 		wire = AppendFrame(wire, []byte(p))
 	}
 	c := NewConn(streamConn{bytes.NewReader(append(wire, wire...))}, Options{Metrics: m})
-	var sum uint64
-	for i := range payloads {
-		frame, more, err := c.RecvSharedBuffered()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += uint64(prefixSize + len(frame))
-		// One read took in the whole stream: the buffer runs dry only
-		// after the sixth frame.
-		if !more || m.FramesIn.Load() != 0 {
-			t.Fatalf("frame %d: more=%v, %d frames published before the buffer ran dry", i, more, m.FramesIn.Load())
-		}
+	// One read takes in the whole stream: the first frame leaves five
+	// whole frames buffered behind it.
+	if _, err := c.RecvShared(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range payloads {
-		frame, more, err := c.RecvSharedBuffered()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += uint64(prefixSize + len(frame))
-		if more != (i < 2) {
-			t.Fatalf("frame %d: more=%v", i+3, more)
-		}
+	if m.FramesIn.Load() != 0 {
+		t.Fatalf("%d frames published with five whole frames still buffered", m.FramesIn.Load())
 	}
-	if m.FramesIn.Load() != 6 || m.BytesIn.Load() != sum {
-		t.Fatalf("dry buffer published frames=%d bytes=%d, want 6/%d", m.FramesIn.Load(), m.BytesIn.Load(), sum)
+	batch, err := c.RecvBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The series are complete as soon as the batch returns, before the
+	// caller has looked at a single frame of it.
+	if m.FramesIn.Load() != 6 || m.BytesIn.Load() != uint64(2*len(wire)) {
+		t.Fatalf("dry buffer published frames=%d bytes=%d, want 6/%d", m.FramesIn.Load(), m.BytesIn.Load(), 2*len(wire))
+	}
+	n := 0
+	for _, ok := batch.Next(); ok; _, ok = batch.Next() {
+		n++
+	}
+	if n != 5 {
+		t.Fatalf("batch held %d frames, want the 5 left buffered", n)
 	}
 
 	m = NewMetrics(obs.New())

@@ -168,12 +168,13 @@ func sized(scratch []byte, n int) []byte {
 type Options struct {
 	// MaxFrame bounds payload size in both directions (0 = DefaultMaxFrame).
 	MaxFrame uint32
-	// ReadTimeout bounds every wait for bytes (0 = no deadline). A Recv
+	// ReadTimeout bounds every wait for bytes (0 = no deadline). A receive
 	// whose frame is already whole in the read buffer cannot block and
-	// arms nothing; any other Recv arms the deadline before its first read
-	// from the connection. A Recv that times out returns a net.Error with
-	// Timeout() == true and consumes nothing (a partly received frame stays
-	// buffered), so callers can treat timeouts as idle ticks.
+	// arms nothing; any other receive arms the deadline before its first
+	// read from the connection. A receive that times out returns a
+	// net.Error with Timeout() == true and consumes nothing (a partly
+	// received frame stays buffered), so callers can treat timeouts as
+	// idle ticks.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one Send call (0 = no deadline).
 	WriteTimeout time.Duration
@@ -182,8 +183,9 @@ type Options struct {
 	// zero-allocation contract; the standalone ReadFrame/WriteFrame
 	// helpers never record. Received frames and bytes are counted on the
 	// Conn and published whenever the read buffer holds no whole frame
-	// (so the next receive may wait) and when the Conn closes: exact while
-	// the reader waits, at most one read behind while it is busy.
+	// (so the next receive may wait; RecvBatch always leaves it so) and
+	// when the Conn closes: exact while the reader waits, at most one read
+	// behind while it is busy.
 	Metrics *Metrics
 }
 
@@ -192,9 +194,9 @@ type Options struct {
 // hold. The buffer grows only to fit a single larger frame.
 const readBufSize = 4096
 
-// Conn frames payloads over a net.Conn. Send and Recv are each safe for
-// one concurrent caller (they serialise internally), mirroring net.Conn's
-// one-reader/one-writer contract.
+// Conn frames payloads over a net.Conn. Sending and receiving are each
+// safe for one concurrent caller (they serialise internally), mirroring
+// net.Conn's one-reader/one-writer contract.
 type Conn struct {
 	nc  net.Conn
 	opt Options
@@ -202,10 +204,9 @@ type Conn struct {
 	rmu  sync.Mutex
 	in   []byte // read buffer: in[r:w] is read off nc but not yet returned
 	r, w int
-	rbuf []byte // RecvShared's reusable payload buffer (guarded by rmu)
 
-	// framesIn and bytesIn count what Recv returned since the last publish
-	// to Options.Metrics (guarded by rmu).
+	// framesIn and bytesIn count what the receives returned since the last
+	// publish to Options.Metrics (guarded by rmu).
 	framesIn, bytesIn uint64
 
 	wmu  sync.Mutex
@@ -270,58 +271,96 @@ func (c *Conn) send(payload []byte) error {
 func (c *Conn) Recv() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	frame, _, err := c.recvLocked(nil)
-	return frame, err
+	frame, err := c.recvLocked()
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), frame...), nil
 }
 
-// RecvShared reads one frame into the connection's reusable buffer. The
-// returned slice is valid only until the next Recv or RecvShared call on
-// this connection — a caller that retains the frame (or hands it to
-// anything that might) must copy it first. This is the zero-allocation
-// read path for per-frame serving loops; deadlines and timeouts behave as
-// for Recv.
+// RecvShared reads one frame and returns it where it lies in the
+// connection's read buffer. The returned slice is valid only until the
+// next receive on this connection — a caller that retains the frame (or
+// hands it to anything that might) must copy it first. This is the
+// zero-allocation read path for loops that take one frame at a time;
+// deadlines and timeouts behave as for Recv.
 func (c *Conn) RecvShared() ([]byte, error) {
-	frame, _, err := c.RecvSharedBuffered()
-	return frame, err
-}
-
-// RecvSharedBuffered is RecvShared that also reports whether another
-// whole frame is buffered behind the one returned: when more is true, the
-// next receive returns that frame without arming a deadline or waiting
-// on the connection. A serving loop uses the bit twice: the next frame's
-// time is its own per-frame work, not time spent waiting for the peer,
-// and when the bit is false it publishes what it tallied before it may
-// wait.
-func (c *Conn) RecvSharedBuffered() (frame []byte, more bool, err error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if c.rbuf == nil {
-		c.rbuf = make([]byte, 0, 512)
-	}
-	frame, more, err = c.recvLocked(c.rbuf)
-	if frame != nil {
-		c.rbuf = frame // adopt any growth for the next frame
-	}
-	return frame, more, err
+	return c.recvLocked()
 }
 
-// recvLocked returns the next frame, copied into scratch (grown as
-// ReadFrameInto grows it), and whether another whole frame is buffered
-// behind it. Bytes leave the read buffer only as part of a returned
-// frame. The frame is counted on the Conn, and the counts are published
-// once no whole frame is left.
-func (c *Conn) recvLocked(scratch []byte) (frame []byte, more bool, err error) {
-	frame, more, err = c.next(scratch)
+// Batch is the run of whole frames one RecvBatch took from the read
+// buffer, in stream order. Its frames lie in the read buffer and are
+// valid only until the next receive on the Conn.
+type Batch struct {
+	rest []byte // the frames Next has not returned, length prefixes included
+}
+
+// Next returns the batch's next frame, or false once it has returned
+// them all.
+func (b *Batch) Next() ([]byte, bool) {
+	if len(b.rest) == 0 {
+		return nil, false
+	}
+	end := prefixSize + int(binary.LittleEndian.Uint32(b.rest))
+	frame := b.rest[prefixSize:end:end]
+	b.rest = b.rest[end:]
+	return frame, true
+}
+
+// RecvBatch takes every whole frame in the read buffer as one batch of at
+// least one frame. With no whole frame buffered it waits exactly as Recv
+// does: it arms the read deadline once, before its first read from the
+// connection, and a timeout consumes nothing. Under one hold of the read
+// lock it then checks the length prefix of each whole frame behind the
+// first, and publishes the receive counts once. A bad length prefix
+// behind whole frames ends the batch, and the next receive returns it as
+// its error. The frames are returned where they lie in the read buffer
+// and are valid only until the next receive, as RecvShared's are; no
+// caller code runs while the read lock is held.
+func (c *Conn) RecvBatch() (Batch, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	need, err := c.wait()
 	if err != nil {
 		c.opt.Metrics.recvFailed(err)
-	} else {
-		c.framesIn++
-		c.bytesIn += uint64(prefixSize + len(frame))
+		c.publishLocked()
+		return Batch{}, err
 	}
-	if !more {
+	start := c.r
+	for whole := true; whole; {
+		c.consume(need)
+		// A bad prefix behind the frame is the next receive's error.
+		need, whole, _ = c.head()
+	}
+	c.publishLocked()
+	return Batch{rest: c.in[start:c.r:c.r]}, nil
+}
+
+// recvLocked returns the next frame where it lies in the read buffer and
+// publishes the receive counts once no whole frame is left behind it.
+func (c *Conn) recvLocked() ([]byte, error) {
+	need, err := c.wait()
+	if err != nil {
+		c.opt.Metrics.recvFailed(err)
+		c.publishLocked()
+		return nil, err
+	}
+	at := c.r
+	c.consume(need)
+	if _, more, _ := c.head(); !more {
 		c.publishLocked()
 	}
-	return frame, more, err
+	return c.in[at+prefixSize : at+need : at+need], nil
+}
+
+// consume takes the need bytes of the whole frame at the front of the
+// read buffer, prefix included, and counts the frame on the Conn.
+func (c *Conn) consume(need int) {
+	c.r += need
+	c.framesIn++
+	c.bytesIn += uint64(need)
 }
 
 // publishLocked adds the receive counts to Options.Metrics and zeroes
@@ -334,30 +373,26 @@ func (c *Conn) publishLocked() {
 	c.framesIn, c.bytesIn = 0, 0
 }
 
-// next returns the next frame and whether another whole frame is
-// buffered behind it.
-func (c *Conn) next(scratch []byte) (frame []byte, more bool, err error) {
+// wait returns the size, prefix included, of the whole frame at the front
+// of the read buffer, reading from the connection until one is whole.
+// Bytes leave the read buffer only when a caller consumes a whole frame.
+func (c *Conn) wait() (int, error) {
 	waited := false
 	for {
 		need, whole, err := c.head()
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		if whole {
-			frame := sized(scratch, need-prefixSize)
-			copy(frame, c.in[c.r+prefixSize:])
-			c.r += need
-			// A bad prefix behind the frame is the next receive's error.
-			_, more, _ = c.head()
-			return frame, more, nil
+			return need, nil
 		}
 		if !waited {
-			// This Recv has to wait for bytes: arm the deadline once,
+			// This receive has to wait for bytes: arm the deadline once,
 			// before its first read.
 			waited = true
 			if c.opt.ReadTimeout > 0 {
 				if err := c.nc.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
-					return nil, false, err
+					return 0, err
 				}
 			}
 		}
@@ -365,11 +400,11 @@ func (c *Conn) next(scratch []byte) (frame []byte, more bool, err error) {
 			have := c.w - c.r
 			switch {
 			case !errors.Is(err, io.EOF) || have == 0:
-				return nil, false, err
+				return 0, err
 			case have < prefixSize:
-				return nil, false, errTruncatedPrefix
+				return 0, errTruncatedPrefix
 			default:
-				return nil, false, errTruncatedPayload
+				return 0, errTruncatedPayload
 			}
 		}
 	}
@@ -416,17 +451,17 @@ func (c *Conn) fill(need int) error {
 // It lets a server hold the first frame of a connection to a short
 // hello deadline and then relax to the steady-state read timeout once
 // the peer has proven it speaks the protocol. It must not be called
-// concurrently with Recv or RecvShared (it serialises on the read lock,
-// so a call made between reads is safe).
+// concurrently with a receive (it serialises on the read lock, so a call
+// made between receives is safe).
 func (c *Conn) SetReadTimeout(d time.Duration) {
 	c.rmu.Lock()
 	c.opt.ReadTimeout = d
 	c.rmu.Unlock()
 }
 
-// Close closes the underlying connection, unblocking any pending Send or
-// Recv, then waits for a receive in progress to return and publishes the
-// receive counts not yet published.
+// Close closes the underlying connection, unblocking any pending send or
+// receive, then waits for a receive in progress to return and publishes
+// the receive counts not yet published.
 func (c *Conn) Close() error {
 	err := c.nc.Close()
 	c.rmu.Lock()

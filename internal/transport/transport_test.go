@@ -196,10 +196,24 @@ func (c *deadlineConn) SetReadDeadline(t time.Time) error {
 	return c.Conn.SetReadDeadline(t)
 }
 
-// TestRecvArmsDeadlineOnlyToWait: the Recv that has to wait for bytes
-// arms exactly one read deadline; frames already whole in the read buffer
-// are returned without arming one. Each frame reports more while another
-// whole frame is buffered behind it.
+// batchFrames returns the frames of one RecvBatch as strings.
+func batchFrames(t *testing.T, c *Conn) []string {
+	t.Helper()
+	batch, err := c.RecvBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []string
+	for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+		frames = append(frames, string(frame))
+	}
+	return frames
+}
+
+// TestRecvArmsDeadlineOnlyToWait: the receive that has to wait for bytes
+// arms exactly one read deadline, however many reads the wait takes, and
+// frames already whole in the read buffer are returned without arming
+// one. A batch holds every whole frame buffered when it returns.
 func TestRecvArmsDeadlineOnlyToWait(t *testing.T) {
 	an, bn := net.Pipe()
 	defer an.Close()
@@ -212,16 +226,107 @@ func TestRecvArmsDeadlineOnlyToWait(t *testing.T) {
 		wire = AppendFrame(wire, []byte(p))
 	}
 	go an.Write(wire) //nolint:errcheck
-	for i, want := range []string{"one", "two", "three"} {
-		frame, more, err := rx.RecvSharedBuffered()
+	frame, err := rx.RecvShared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(frame) != "one" || dc.armed != 1 {
+		t.Fatalf("first frame = %q with %d read deadlines armed, want %q with 1", frame, dc.armed, "one")
+	}
+	if got := batchFrames(t, rx); fmt.Sprint(got) != "[two three]" || dc.armed != 1 {
+		t.Fatalf("buffered batch = %q with %d read deadlines armed, want [two three] with 1", got, dc.armed)
+	}
+
+	// A frame split over two writes takes two reads and one arm.
+	split := AppendFrame(nil, []byte("four"))
+	go func() {
+		an.Write(split[:3]) //nolint:errcheck
+		an.Write(split[3:]) //nolint:errcheck
+	}()
+	if got := batchFrames(t, rx); fmt.Sprint(got) != "[four]" || dc.armed != 2 {
+		t.Fatalf("waited batch = %q with %d read deadlines armed in all, want [four] with 2", got, dc.armed)
+	}
+}
+
+// TestRecvBatchKeepsPartialFrame: a frame whose tail is still on the wire
+// ends the batch before it, stays buffered, and arrives whole at the
+// front of the next batch.
+func TestRecvBatchKeepsPartialFrame(t *testing.T) {
+	an, bn := net.Pipe()
+	defer an.Close()
+	rx := NewConn(bn, Options{ReadTimeout: 5 * time.Second})
+	defer rx.Close()
+
+	wire := AppendFrame(AppendFrame(AppendFrame(nil, []byte("one")), []byte("two")), []byte("three"))
+	cut := len(wire) - 2
+	go func() {
+		an.Write(wire[:cut]) //nolint:errcheck
+		an.Write(wire[cut:]) //nolint:errcheck
+	}()
+	if got := batchFrames(t, rx); fmt.Sprint(got) != "[one two]" {
+		t.Fatalf("first batch = %q, want [one two]", got)
+	}
+	if got := batchFrames(t, rx); fmt.Sprint(got) != "[three]" {
+		t.Fatalf("second batch = %q, want [three]", got)
+	}
+}
+
+// TestRecvBatchBadPrefixBehindFrames: a bad length prefix behind whole
+// frames ends the batch. The whole frames come back first and intact, and
+// every later receive reports the bad prefix: nothing is dropped, and no
+// payload byte is ever read as a prefix.
+func TestRecvBatchBadPrefixBehindFrames(t *testing.T) {
+	for name, tc := range map[string]struct {
+		prefix []byte
+		want   error
+	}{
+		"too large": {[]byte{0xFF, 0xFF, 0xFF, 0x7F}, ErrFrameTooLarge},
+		"empty":     {[]byte{0, 0, 0, 0}, ErrEmptyFrame},
+	} {
+		t.Run(name, func(t *testing.T) {
+			wire := AppendFrame(AppendFrame(nil, []byte("one")), []byte("two"))
+			wire = append(append(wire, tc.prefix...), "payload"...)
+			c := NewConn(streamConn{bytes.NewReader(wire)}, Options{})
+			if got := batchFrames(t, c); fmt.Sprint(got) != "[one two]" {
+				t.Fatalf("batch = %q, want [one two]", got)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := c.RecvBatch(); !errors.Is(err, tc.want) {
+					t.Fatalf("receive %d after the batch: %v, want %v", i+1, err, tc.want)
+				}
+			}
+			if _, err := c.Recv(); !errors.Is(err, tc.want) {
+				t.Fatalf("Recv after the batch: %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRecvBatchFrameLargerThanReadBuffer: a frame larger than the read
+// buffer grows it and arrives whole, as does the frame written behind it.
+func TestRecvBatchFrameLargerThanReadBuffer(t *testing.T) {
+	an, bn := net.Pipe()
+	defer an.Close()
+	rx := NewConn(bn, Options{ReadTimeout: 5 * time.Second})
+	defer rx.Close()
+
+	big := make([]byte, 3*readBufSize+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	go an.Write(AppendFrame(AppendFrame(nil, big), []byte("after"))) //nolint:errcheck
+	var frames [][]byte
+	for len(frames) < 2 {
+		batch, err := rx.RecvBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(frame) != want || more != (i < 2) {
-			t.Fatalf("frame %d = %q more=%v, want %q more=%v", i, frame, more, want, i < 2)
+		for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+			frames = append(frames, append([]byte(nil), frame...))
 		}
-		if dc.armed != 1 {
-			t.Fatalf("after frame %d: %d read deadlines armed for one read, want 1", i, dc.armed)
-		}
+	}
+	if len(frames) != 2 || !bytes.Equal(frames[0], big) || string(frames[1]) != "after" {
+		t.Fatalf("got %d frames (first %d bytes), want the %d-byte frame intact and %q",
+			len(frames), len(frames[0]), len(big), "after")
 	}
 }
