@@ -177,7 +177,9 @@ func BenchmarkSocketGateReject(b *testing.B) {
 // so every frame past the tier's burst dies at the tier bucket before
 // decode. One op is one frame; ns/frame and allocs/frame cover the serve
 // loop's goroutine and everything else the process ran meanwhile, the
-// writer included.
+// writer included. reads/frame and bytes/read count the serve loop's
+// socket reads: each read costs a syscall, a deadline arm, two clock
+// readings and one publish of the per-frame series.
 func BenchmarkServeGateFlood(b *testing.B) {
 	b.Run("mix", func(b *testing.B) { benchServeGateFlood(b, nil) })
 	b.Run("tier_limited", func(b *testing.B) {
@@ -203,13 +205,15 @@ func benchServeGateFlood(b *testing.B, tiers *TierPolicy) {
 	defer s.Close()
 	client, nc := tcpPair(b)
 	defer client.Close()
-	serveDevice(b, s, client, nc, "gate-flood-dev")
+	cc := &countingConn{Conn: nc}
+	serveDevice(b, s, client, cc, "gate-flood-dev")
 	const perWrite = 256
 	wire, ends := gateMix(perWrite)
 	waitFor(b, 5*time.Second, "the session to open", func() bool { return s.Counters().ConnsAccepted == 1 })
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	reads, bytes := cc.reads.Load(), cc.bytes.Load()
 	b.ResetTimer()
 	for sent := 0; sent < b.N; sent += perWrite {
 		n := min(perWrite, b.N-sent)
@@ -222,8 +226,11 @@ func benchServeGateFlood(b *testing.B, tiers *TierPolicy) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
+	reads, bytes = cc.reads.Load()-reads, cc.bytes.Load()-bytes
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/frame")
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/frame")
+	b.ReportMetric(float64(bytes)/float64(reads), "bytes/read")
 }
 
 // transportBench is the BENCH_transport.json schema: host-side per-op

@@ -18,15 +18,19 @@ import (
 // often it arms the socket's read deadline, that a stalled peer is still
 // evicted, and that attestd_gate_seconds observes exactly the rejects.
 
-// countingConn counts the reads and read-deadline arms on a net.Conn.
+// countingConn counts the reads, the bytes they returned and the
+// read-deadline arms on a net.Conn. A read counts from its call, so one
+// blocked in the kernel is counted.
 type countingConn struct {
 	net.Conn
-	reads, deadlines atomic.Int64
+	reads, bytes, deadlines atomic.Int64
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	c.reads.Add(1)
-	return c.Conn.Read(p)
+	n, err := c.Conn.Read(p)
+	c.bytes.Add(int64(n))
+	return n, err
 }
 
 func (c *countingConn) SetReadDeadline(t time.Time) error {

@@ -90,9 +90,10 @@ type Config struct {
 	MaxConns int
 	// MaxDevices caps the device table (default 4096). Device state is
 	// created at hello time for any claimed ID and each entry holds a
-	// golden-image copy, so an unauthenticated peer inventing IDs could
-	// otherwise grow daemon memory without bound; hellos past the cap are
-	// refused with conns_rejected{cause="device_table_full"}.
+	// verifier with its keyed MACs (about 1.2 KiB; the golden image is
+	// shared), so an unauthenticated peer inventing IDs could otherwise
+	// grow daemon memory without bound; hellos past the cap are refused
+	// with conns_rejected{cause="device_table_full"}.
 	MaxDevices int
 	// MaxInflight caps outstanding requests across all provers — each
 	// outstanding request is a future golden-image MAC the daemon has

@@ -23,10 +23,10 @@ import (
 //     concurrent mutation (entries inserted during a sweep may or may not
 //     be visited).
 //
-// Entries are package-private (a *deviceState embeds the verifier and its
-// golden-image copy), so implementations currently live in this package;
-// the interface is the seam a persistent or remote backend would slot
-// into.
+// Entries are package-private (a *deviceState embeds the verifier with its
+// keyed MACs, about 1.2 KiB, and shares the daemon's golden image), so
+// implementations currently live in this package; the interface is the
+// seam a persistent or remote backend would slot into.
 type VerifierStore interface {
 	// Get returns the entry for deviceID, if present.
 	Get(deviceID string) (*deviceState, bool)

@@ -105,17 +105,18 @@ func TestReadFrameIntoGrowsAndAliases(t *testing.T) {
 	}
 }
 
-// TestRecvBatchZeroAllocs pins the batch receive of a 256-frame write at
+// TestRecvBatchZeroAllocs pins the batch receive of a 4096-frame write at
 // zero allocations, counts published included. The write is larger than
-// the read buffer, so the frames arrive in two batches, the second led by
-// the frame the first read cut in two.
+// the grown read buffer, so once the warm-up has grown the buffer the
+// frames still arrive in several batches, each after the first led by the
+// frame the read before it cut in two.
 func TestRecvBatchZeroAllocs(t *testing.T) {
-	const frames = 256
+	const frames = 4096
 	var stream []byte
 	for i := 0; i < frames; i++ {
 		stream = AppendFrame(stream, bytes.Repeat([]byte{byte(i)}, 16))
 	}
-	if len(stream) <= readBufSize {
+	if len(stream) <= maxReadBuf {
 		t.Fatalf("a %d-byte write fits one read; the test needs more", len(stream))
 	}
 	m := NewMetrics(obs.New())
@@ -137,7 +138,7 @@ func TestRecvBatchZeroAllocs(t *testing.T) {
 		}
 	})
 	if m.FramesIn.Load()%frames != 0 || m.FramesIn.Load() == 0 {
-		t.Fatalf("published %d frames, want whole 256-frame writes", m.FramesIn.Load())
+		t.Fatalf("published %d frames, want whole %d-frame writes", m.FramesIn.Load(), frames)
 	}
 }
 

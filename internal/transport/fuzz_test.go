@@ -8,15 +8,19 @@ import (
 )
 
 // chunkConn is a net.Conn whose reads hand out the stream at most chunk
-// bytes at a time, then io.EOF: how a socket can split frames anywhere.
+// bytes at a time (any number when chunk is 0), then io.EOF: how a socket
+// can split frames anywhere, or keep a reader's buffer full. It counts
+// the reads made on it.
 type chunkConn struct {
 	sinkConn
 	r     *bytes.Reader
 	chunk int
+	reads int
 }
 
 func (c *chunkConn) Read(p []byte) (int, error) {
-	if len(p) > c.chunk {
+	c.reads++
+	if c.chunk > 0 && len(p) > c.chunk {
 		p = p[:c.chunk]
 	}
 	return c.r.Read(p)
@@ -39,8 +43,15 @@ func sameErrorClass(a, b error) bool {
 // on the accepted stream). Conn's buffered read paths, one frame at a time
 // (Recv) and a batch at a time (RecvBatch), must agree with ReadFrame frame
 // by frame and in the error that ends the stream, however the stream is
-// split into reads.
+// split into reads. The low six bits of chunk bound each read. Its top bit
+// leaves reads unlimited, so a read can fill the read buffer and make it
+// grow; the bit below lowers maxFrame under the buffer's size, so a frame
+// over maxFrame can lie whole behind others.
 func FuzzReadFrame(f *testing.F) {
+	var small []byte // more than readBufSize of small frames
+	for i := 0; len(small) <= readBufSize+1024; i++ {
+		small = AppendFrame(small, bytes.Repeat([]byte{byte(i)}, 1+i%13))
+	}
 	f.Add(AppendFrame(nil, []byte{0x41, 0x52, 0x01}), uint8(0))
 	f.Add(AppendFrame(nil, bytes.Repeat([]byte{0xEE}, 512)), uint8(7))
 	f.Add([]byte{0, 0, 0, 0}, uint8(1))                                          // zero length
@@ -49,10 +60,20 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{1, 0}, uint8(0))                                                // truncated prefix
 	f.Add(AppendFrame(AppendFrame(nil, make([]byte, 1)), []byte{9}), uint8(255)) // minimal frames
 	f.Add(append(AppendFrame(nil, []byte{7}), 0, 0, 0, 0), uint8(63))            // bad prefix behind a frame
+	// A read fills the buffer; a frame over the lowered maxFrame lies whole
+	// behind another.
+	f.Add(small, uint8(128))
+	f.Add(AppendFrame(AppendFrame(nil, []byte{1}), make([]byte, 300)), uint8(192))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
-		const maxFrame = 1 << 16
+		maxFrame, limit := uint32(1<<16), int(chunk)%64+1
+		if chunk&64 != 0 {
+			maxFrame = 1 << 8
+		}
+		if chunk&128 != 0 {
+			limit = 0
+		}
 		chunked := func() *Conn {
-			return NewConn(&chunkConn{r: bytes.NewReader(data), chunk: int(chunk)%64 + 1}, Options{MaxFrame: maxFrame})
+			return NewConn(&chunkConn{r: bytes.NewReader(data), chunk: limit}, Options{MaxFrame: maxFrame})
 		}
 		r := bytes.NewReader(data)
 		c, bc := chunked(), chunked()
@@ -84,7 +105,7 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if len(payload) == 0 || len(payload) > maxFrame {
+			if len(payload) == 0 || len(payload) > int(maxFrame) {
 				t.Fatalf("accepted out-of-bounds payload length %d", len(payload))
 			}
 			reenc := AppendFrame(nil, payload)

@@ -189,10 +189,19 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// readBufSize is the read buffer's initial size: one read from the
-// connection takes in up to this many bytes, however many frames they
-// hold. The buffer grows only to fit a single larger frame.
-const readBufSize = 4096
+// A Conn's read buffer starts at readBufSize bytes: one read from the
+// connection takes in up to that many, however many frames they hold. A
+// read that fills every free byte of the buffer shows the peer is ahead
+// of the reader, so from the next read on the buffer holds at least
+// maxReadBuf bytes and a flood of small frames costs 16 times fewer
+// reads. An honest session reads one small frame per read and keeps
+// readBufSize. The buffer also grows to hold a frame larger than it
+// (whose first read fills it too), and never shrinks, so a connection
+// holds at most max(maxReadBuf, MaxFrame+4) bytes.
+const (
+	readBufSize = 4 << 10
+	maxReadBuf  = 64 << 10
+)
 
 // Conn frames payloads over a net.Conn. Sending and receiving are each
 // safe for one concurrent caller (they serialise internally), mirroring
@@ -313,12 +322,12 @@ func (b *Batch) Next() ([]byte, bool) {
 // least one frame. With no whole frame buffered it waits exactly as Recv
 // does: it arms the read deadline once, before its first read from the
 // connection, and a timeout consumes nothing. Under one hold of the read
-// lock it then checks the length prefix of each whole frame behind the
-// first, and publishes the receive counts once. A bad length prefix
-// behind whole frames ends the batch, and the next receive returns it as
-// its error. The frames are returned where they lie in the read buffer
-// and are valid only until the next receive, as RecvShared's are; no
-// caller code runs while the read lock is held.
+// lock it then checks the length prefixes of the whole frames behind the
+// first in one pass, and counts and publishes the batch once. A bad
+// length prefix behind whole frames ends the batch, and the next receive
+// returns it as its error. The frames are returned where they lie in the
+// read buffer and are valid only until the next receive, as RecvShared's
+// are; no caller code runs while the read lock is held.
 func (c *Conn) RecvBatch() (Batch, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -328,14 +337,22 @@ func (c *Conn) RecvBatch() (Batch, error) {
 		c.publishLocked()
 		return Batch{}, err
 	}
-	start := c.r
-	for whole := true; whole; {
-		c.consume(need)
-		// A bad prefix behind the frame is the next receive's error.
-		need, whole, _ = c.head()
+	buf, start, end, frames := c.in[:c.w], c.r, c.r+need, uint64(1)
+	for len(buf)-end >= prefixSize {
+		// The checks payloadLen makes; a bad prefix behind the frame is
+		// the next receive's error.
+		n := binary.LittleEndian.Uint32(buf[end:])
+		if n == 0 || n > c.opt.MaxFrame || len(buf)-end-prefixSize < int(n) {
+			break
+		}
+		end += prefixSize + int(n)
+		frames++
 	}
+	c.r = end
+	c.framesIn += frames
+	c.bytesIn += uint64(end - start)
 	c.publishLocked()
-	return Batch{rest: c.in[start:c.r:c.r]}, nil
+	return Batch{rest: buf[start:end:end]}, nil
 }
 
 // recvLocked returns the next frame where it lies in the read buffer and
@@ -348,19 +365,13 @@ func (c *Conn) recvLocked() ([]byte, error) {
 		return nil, err
 	}
 	at := c.r
-	c.consume(need)
+	c.r += need
+	c.framesIn++
+	c.bytesIn += uint64(need)
 	if _, more, _ := c.head(); !more {
 		c.publishLocked()
 	}
 	return c.in[at+prefixSize : at+need : at+need], nil
-}
-
-// consume takes the need bytes of the whole frame at the front of the
-// read buffer, prefix included, and counts the frame on the Conn.
-func (c *Conn) consume(need int) {
-	c.r += need
-	c.framesIn++
-	c.bytesIn += uint64(need)
 }
 
 // publishLocked adds the receive counts to Options.Metrics and zeroes
@@ -427,17 +438,22 @@ func (c *Conn) head() (need int, whole bool, err error) {
 
 // fill makes one read from the connection into the read buffer. It first
 // moves the unread bytes to the front, so every read gets all the room the
-// buffer has, and grows the buffer when the frame being assembled (need
-// bytes, prefix included) does not fit.
+// buffer has. It grows the buffer to maxReadBuf when the last read filled
+// it to its end (see readBufSize), and to need bytes when the frame being
+// assembled (need bytes, prefix included) does not fit, moving the unread
+// bytes and growing in one copy.
 func (c *Conn) fill(need int) error {
-	if c.r > 0 {
+	size := max(len(c.in), need)
+	if c.w == len(c.in) {
+		size = max(size, maxReadBuf)
+	}
+	if size > len(c.in) {
+		grown := make([]byte, size)
+		c.w = copy(grown, c.in[c.r:c.w])
+		c.in, c.r = grown, 0
+	} else if c.r > 0 {
 		c.w = copy(c.in, c.in[c.r:c.w])
 		c.r = 0
-	}
-	if need > len(c.in) {
-		grown := make([]byte, need)
-		copy(grown, c.in[:c.w])
-		c.in = grown
 	}
 	n, err := c.nc.Read(c.in[c.w:])
 	c.w += n

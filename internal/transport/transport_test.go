@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -126,11 +127,13 @@ func TestRecvTimeoutIsIdleTick(t *testing.T) {
 // a read timeout that lands inside a frame: the agent treats timeouts as
 // heartbeat ticks, so a frame that straddles a tick must still arrive
 // whole. Bytes used to be consumed up to the deadline, and every later
-// Recv parsed payload bytes as a length prefix. Both a frame that fits
-// the read buffer and one larger than it are covered, split inside the
-// prefix and inside the payload.
+// Recv parsed payload bytes as a length prefix. A frame that fits the
+// read buffer, one larger than it and one larger than the grown buffer
+// are covered, split inside the prefix and inside the payload. The writer
+// sends the rest of the frame only once a Recv has timed out with its
+// head buffered, so a timeout lands inside the frame by construction.
 func TestRecvTimeoutMidFrameConsumesNothing(t *testing.T) {
-	for _, size := range []int{100, 3 * readBufSize} {
+	for _, size := range []int{100, 3 * readBufSize, maxReadBuf + 100} {
 		for _, split := range []int{2, prefixSize + 50} {
 			t.Run(fmt.Sprintf("payload=%d/split=%d", size, split), func(t *testing.T) {
 				first := make([]byte, size)
@@ -144,14 +147,21 @@ func TestRecvTimeoutMidFrameConsumesNothing(t *testing.T) {
 				rx := NewConn(bn, Options{ReadTimeout: 20 * time.Millisecond})
 				defer rx.Close()
 				wrote := make(chan error, 1)
+				timedOut := make(chan struct{})
 				go func() {
 					if _, err := an.Write(wire[:split]); err != nil {
 						wrote <- err
 						return
 					}
-					time.Sleep(60 * time.Millisecond)
+					<-timedOut
 					_, err := an.Write(wire[split:])
 					wrote <- err
+				}()
+				inside := false
+				defer func() {
+					if !inside {
+						close(timedOut) // a test that failed first releases the writer
+					}
 				}()
 
 				timeouts := 0
@@ -166,13 +176,16 @@ func TestRecvTimeoutMidFrameConsumesNothing(t *testing.T) {
 							t.Fatalf("Recv after %d timeouts: %v", timeouts, err)
 						}
 						timeouts++
+						// The head of the frame is buffered: this timeout
+						// landed inside it.
+						if !inside && rx.r < rx.w {
+							inside = true
+							close(timedOut)
+						}
 					}
 				}
 				if got := recv(); !bytes.Equal(got, first) {
 					t.Fatalf("straddling frame: got %d bytes, want %d intact", len(got), len(first))
-				}
-				if timeouts == 0 {
-					t.Fatal("no Recv timed out inside the frame; the pause did not straddle a deadline")
 				}
 				if got := recv(); string(got) != "next" {
 					t.Fatalf("frame after the straddling one = %q, want %q", got, "next")
@@ -328,5 +341,83 @@ func TestRecvBatchFrameLargerThanReadBuffer(t *testing.T) {
 	if len(frames) != 2 || !bytes.Equal(frames[0], big) || string(frames[1]) != "after" {
 		t.Fatalf("got %d frames (first %d bytes), want the %d-byte frame intact and %q",
 			len(frames), len(frames[0]), len(big), "after")
+	}
+}
+
+// TestReadBufferKeepsItsSizeAtHonestRates: a peer that writes one small
+// frame at a time never fills the read buffer, so it stays at readBufSize.
+func TestReadBufferKeepsItsSizeAtHonestRates(t *testing.T) {
+	a, b := Pipe(Options{ReadTimeout: 5 * time.Second})
+	defer a.Close()
+	defer b.Close()
+
+	const frames = 1000
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if err := a.Send([]byte(fmt.Sprintf("frame-%d", i))); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < frames; i++ {
+		frame, err := b.RecvShared()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("frame-%d", i); string(frame) != want {
+			t.Fatalf("frame %d = %q, want %q", i, frame, want)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if cap(b.in) != readBufSize {
+		t.Fatalf("read buffer grew to %d bytes at one frame per write, want %d", cap(b.in), readBufSize)
+	}
+}
+
+// TestReadBufferGrowsUnderAFlood: the first read of a 256 KiB write of
+// small frames fills the read buffer, so the buffer grows once, to
+// maxReadBuf, and the rest arrives in reads of up to maxReadBuf bytes,
+// every frame intact and in order.
+func TestReadBufferGrowsUnderAFlood(t *testing.T) {
+	const size = 256 << 10
+	floodFrame := func(i int) []byte {
+		p := bytes.Repeat([]byte{byte(i)}, 16)
+		binary.LittleEndian.PutUint32(p, uint32(i))
+		return p
+	}
+	frames := size / (prefixSize + 16)
+	var wire []byte
+	for i := 0; i < frames; i++ {
+		wire = AppendFrame(wire, floodFrame(i))
+	}
+	cc := &chunkConn{r: bytes.NewReader(wire)}
+	c := NewConn(cc, Options{})
+
+	sizes := []int{cap(c.in)}
+	for n := 0; n < frames; {
+		batch, err := c.RecvBatch()
+		if err != nil {
+			t.Fatalf("after %d frames: %v", n, err)
+		}
+		for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+			if !bytes.Equal(frame, floodFrame(n)) {
+				t.Fatalf("frame %d = % x, want % x", n, frame, floodFrame(n))
+			}
+			n++
+		}
+		if cap(c.in) != sizes[len(sizes)-1] {
+			sizes = append(sizes, cap(c.in))
+		}
+	}
+	if want := []int{readBufSize, maxReadBuf}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("read buffer sizes %v, want %v", sizes, want)
+	}
+	if limit := size/maxReadBuf + 2; cc.reads > limit {
+		t.Fatalf("%d reads for a %d-byte write, want at most %d", cc.reads, len(wire), limit)
 	}
 }
