@@ -3,8 +3,8 @@
 GO ?= go
 
 .PHONY: all build vet test race bench bench-compile repro fuzz fuzz-smoke examples clean
-.PHONY: attestd attest-agent attest-loadgen flood-net bench-transport bench-server bench-quiescent bench-swarm bench-cluster metrics-smoke
-.PHONY: cover chaos-smoke cluster-smoke persist-smoke bench-persist admin-smoke bench-tiers bench-unit bench-smoke
+.PHONY: attestd attest-agent flood-net metrics-smoke
+.PHONY: cover chaos-smoke cluster-smoke persist-smoke admin-smoke bench-unit bench-smoke
 
 all: build vet test
 
@@ -84,9 +84,6 @@ attestd:
 attest-agent:
 	$(GO) build -o bin/attest-agent ./cmd/attest-agent
 
-attest-loadgen:
-	$(GO) build -o bin/attest-loadgen ./cmd/attest-loadgen
-
 # Coverage gate for the networked stack. Floors sit a few points below
 # current coverage (transport ~95%, agent ~94%, server ~88%, admin ~91%)
 # so timing-dependent branches don't flake the gate while a real
@@ -136,49 +133,6 @@ metrics-smoke:
 flood-net:
 	$(GO) run ./examples/netflood
 
-# Regenerate BENCH_transport.json (socket-path gate vs full-attest cost).
-bench-transport:
-	BENCH_TRANSPORT_OUT=$(CURDIR)/BENCH_transport.json \
-		$(GO) test -run TestEmitTransportBench -count=1 ./internal/server/
-
-# Regenerate BENCH_server.json: the load generator drives a real attestd
-# over loopback TCP (8 devices, paced adversarial frames + honest rounds)
-# and reports throughput, latency percentiles, allocs/frame and the
-# authentic-vs-adversarial asymmetry ratio.
-bench-server:
-	$(GO) run ./cmd/attest-loadgen -devices 8 -rate 500 -duration 5s \
-		-variant baseline -out $(CURDIR)/BENCH_server.json
-
-# Quiescent-fleet variant of BENCH_server.json: every device clean after
-# its warm-up full round, so the fleet rides the O(1) fast path. Fails
-# unless a full-MAC round costs at least 100× a fast round in modelled
-# prover cycles.
-bench-quiescent:
-	$(GO) run ./cmd/attest-loadgen -quiescent -devices 8 -duration 5s \
-		-min-speedup 100 -variant quiescent -out $(CURDIR)/BENCH_server.json
-
-# Swarm variant of BENCH_server.json: a 64-member fleet attested
-# collectively through the spanning-tree gateway — two frames per
-# aggregate round over the socket, a live bisection drill, the crossover
-# ladder up to N=256 and the full adversary matrix. Fails unless the
-# measured verifier-message reduction reaches 10× and every adversary
-# cell is detected and localized.
-bench-swarm:
-	$(GO) run ./cmd/attest-loadgen -swarm -devices 64 -fanout 4 -duration 5s \
-		-attest-every 100ms -min-msg-reduction 10 \
-		-variant swarm -out $(CURDIR)/BENCH_server.json
-
-# Cluster variant of BENCH_server.json: a ladder of 1 -> 2 -> 4 in-process
-# daemons sharing a consistent-hash ring, each with the same admission
-# budget and each flooded past it with adversarial frames aimed at devices
-# it owns. Fails unless admitted throughput scales at least 1.7x at two
-# daemons and 3x at four, and unless the kill-one failover drill hands the
-# victim's devices to survivors with zero freshness resets.
-bench-cluster:
-	$(GO) run ./cmd/attest-loadgen -cluster -duration 5s -daemon-rate 2000 \
-		-min-scale-2 1.7 -min-scale-4 3.0 \
-		-variant cluster -out $(CURDIR)/BENCH_server.json
-
 # Cluster acceptance check: live state handoff between owners, the
 # three-daemon kill-one failover drill, replica-adoption semantics and the
 # VerifierStore seam, all under the race detector.
@@ -193,24 +147,6 @@ cluster-smoke:
 persist-smoke:
 	$(GO) test -race -count=1 ./internal/journal/
 	$(GO) test -race -run 'TestRestartDrill|TestPersistentStore|TestStoreConformance|TestGateRejectZeroAllocsOverPersistentStore|TestShardedStoreGetZeroAllocs|TestAgentStatsMonotoneUnderChurn' -count=1 -v ./internal/server/
-
-# Persistence variant of BENCH_server.json: supervised agents attest
-# against a persistent daemon that is killed without a flush and restarted
-# from its state directory, once per fsync policy. Fails on any device-side
-# freshness reject, any wrong adoption kind, or an allocating gate reject.
-bench-persist:
-	$(GO) run ./cmd/attest-loadgen -restart-drill -devices 8 -attest-every 10ms \
-		-variant persistence -out $(CURDIR)/BENCH_server.json
-
-# Tier-isolation variant of BENCH_server.json: a bulk tier floods an
-# in-process daemon at 10x its tier-wide budget while an uncapped gold
-# tier keeps attesting. Fails unless the flood is tier-limited (and its
-# admitted throughput stays inside the budget envelope) and the gold
-# tier's authentic p99 stays within 2x its unloaded p99.
-bench-tiers:
-	$(GO) run ./cmd/attest-loadgen -tier-isolation -devices 8 -duration 3s \
-		-attest-every 20ms -tier-rate 400 -flood-x 10 -max-p99-ratio 2.0 \
-		-variant tier_isolation -out $(CURDIR)/BENCH_server.json
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -217,8 +217,8 @@ func main() {
     bought the attacker zero attestation work and zero reply bytes.
 `, floodTotal)
 
-	// Machine-readable summary (field names follow BENCH_transport.json)
-	// for scripts that scrape the example's output.
+	// Machine-readable summary for scripts that scrape the example's
+	// output.
 	gateCount := final["attestd_gate_seconds_count"]
 	var liveGateNs, liveAttestNs float64
 	if gateCount > 0 {

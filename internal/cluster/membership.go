@@ -17,7 +17,7 @@ type Member struct {
 // member set minus the members currently marked down. Every mutation
 // rebuilds an immutable Ring over the live members, so ownership lookups
 // are a read-lock and a binary search. It is safe for concurrent use and
-// may be shared — in-process clusters (tests, the loadgen ladder) hand
+// may be shared — in-process clusters (the server tests) hand
 // one Membership to every daemon so a single MarkDown is the moral
 // equivalent of every prober noticing the death at once.
 type Membership struct {

@@ -49,8 +49,8 @@ func (m *MAC) fast(req *AttReq, epoch uint32, lastDigest *[sha1.Size]byte) *[sha
 const FastMACMessageLen = reqHeaderSize + 12 + 4 + sha1.Size
 
 // FastResponder is the prover-side fast-path state machine for hosts that
-// stand in for provers without a simulated MCU (cmd/attest-loadgen's
-// fleet devices). It mirrors the write-monitor semantics: a full
+// stand in for provers without a simulated MCU (the server tests' and the
+// bench/ generator's devices). It mirrors the write-monitor semantics: a full
 // measurement rearms the monitor and bumps the epoch; after that,
 // RespondInto answers fast-permitted requests in O(1) until Taint marks
 // the memory dirty. All state — including both MAC computations — reuses

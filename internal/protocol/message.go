@@ -218,8 +218,9 @@ var (
 // own tag buffer, which is reused across calls (append into r.Tag[:0]).
 // It applies the same strict framing as DecodeAttReq with static errors;
 // r is fully overwritten on success and unspecified on failure. This is
-// the host-prover (cmd/attest-loadgen) half of the zero-allocation fast
-// path; the simulated anchor decodes inside the MCU instead.
+// the host-prover half of the zero-allocation fast path (the bench/
+// generator and the server tests); the simulated anchor decodes inside
+// the MCU instead.
 func DecodeAttReqInto(buf []byte, r *AttReq) error {
 	if len(buf) < reqHeaderSize {
 		return errReqLength

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"proverattest/internal/cluster"
 	"proverattest/internal/core"
 	"proverattest/internal/protocol"
+	"proverattest/internal/transport"
 )
 
 // clusterDaemon bundles one in-process cluster member: its listener, its
@@ -302,6 +304,113 @@ func TestClusterFailoverSmoke(t *testing.T) {
 		n := survivors[0].srv.Counters().ResponsesFast + survivors[1].srv.Counters().ResponsesFast
 		return n > fastBase
 	})
+}
+
+// TestAdmissionScalesAcrossDaemons is the scaling ladder: 1, 2 and 4
+// daemons on one consistent-hash ring, each with the same admission budget
+// (MaxRatePerSec 1500, burst 64) and each flooded at 1.5 times it for a
+// second by a session naming a device it owns. Ownership is disjoint, so
+// admission capacity adds: the frames admitted per second must reach 1.7
+// times the single daemon's at two daemons and 3.0 times at four. Each
+// rate is the budget's, whatever the phase length, so the ratios are too.
+// One supervised prover per daemon, whose first dial may land on a
+// non-owner and be redirected home, must have a round accepted by its
+// daemon before the flood and see no freshness reject.
+func TestAdmissionScalesAcrossDaemons(t *testing.T) {
+	const budget, floodX, phase = 1500.0, 1.5, time.Second
+	rung := func(t *testing.T, n int) float64 {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("n%d", i)
+		}
+		_, ds := startCluster(t, names, func(c *Config) {
+			c.AttestEvery = 100 * time.Millisecond
+			// The flooders never answer their requests; recycle the slots fast.
+			c.RequestTimeout = 500 * time.Millisecond
+			c.MaxInflight = 256
+			c.MaxRatePerSec = budget
+			// A deep burst bucket would front-load a rung-independent
+			// admission bonus into the ratios; keep it shallow so the
+			// sustained rate dominates.
+			c.MaxRateBurst = 64
+		})
+		ring := cluster.NewRing(cluster.DefaultVnodes, names)
+		addrs := make([]string, n)
+		for i, d := range ds {
+			addrs[i] = d.addr
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		agents := make([]*agent.Agent, n)
+		for i, d := range ds {
+			agents[i] = clusterAgent(t, devicesOwnedBy(t, ring, d.name, fmt.Sprintf("cl%d-agent", n), 1)[0])
+			go agents[i].RunAddrs(ctx, addrs, agent.Backoff{ //nolint:errcheck
+				Base: 10 * time.Millisecond, Max: 200 * time.Millisecond, Seed: int64(i),
+			})
+		}
+		waitFor(t, 30*time.Second, "an accepted round on every daemon", func() bool {
+			for _, d := range ds {
+				if d.srv.Counters().ResponsesAccepted < 1 {
+					return false
+				}
+			}
+			return true
+		})
+
+		floods := make([]*transport.Conn, n)
+		for i, d := range ds {
+			floods[i] = floodSession(t, d.addr, devicesOwnedBy(t, ring, d.name, fmt.Sprintf("cl%d-flood", n), 1)[0], 0)
+		}
+		before := make([]Counters, n)
+		for i, d := range ds {
+			before[i] = d.srv.Counters()
+		}
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for _, tc := range floods {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				floodPaced(tc, floodX*budget, t0.Add(phase))
+			}()
+		}
+		wg.Wait()
+		elapsed := time.Since(t0)
+
+		// Admitted frames got both rate gates' budget and reached the
+		// serving path.
+		var admitted uint64
+		for i, d := range ds {
+			c := d.srv.Counters()
+			admitted += c.FramesIn - before[i].FramesIn
+			admitted -= c.RateLimited - before[i].RateLimited
+			admitted -= c.DaemonRateLimited - before[i].DaemonRateLimited
+		}
+		for i, a := range agents {
+			if got := a.Snapshot().FreshnessRejected; got != 0 {
+				t.Errorf("prover on %s rejected %d requests for freshness", ds[i].name, got)
+			}
+		}
+		rate := float64(admitted) / elapsed.Seconds()
+		t.Logf("%d daemons: %.0f admitted frames/s", n, rate)
+		return rate
+	}
+
+	var rates []float64
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("daemons=%d", n), func(t *testing.T) { rates = append(rates, rung(t, n)) })
+	}
+	if t.Failed() {
+		return
+	}
+	scale2, scale4 := rates[1]/rates[0], rates[2]/rates[0]
+	t.Logf("scaling: 2 daemons %.2fx, 4 daemons %.2fx", scale2, scale4)
+	if scale2 < 1.7 {
+		t.Errorf("2-daemon scaling %.2fx below the 1.7x floor", scale2)
+	}
+	if scale4 < 3.0 {
+		t.Errorf("4-daemon scaling %.2fx below the 3.0x floor", scale4)
+	}
 }
 
 // TestReplicaAdoptionJumpsAndDropsFast pins the replica-import semantics

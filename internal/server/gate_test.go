@@ -76,6 +76,64 @@ func serveDevice(tb testing.TB, s *Server, client, nc net.Conn, deviceID string)
 	return done
 }
 
+// floodSession dials addr and opens a session naming deviceID in tier
+// class tierClass. It never answers: whatever the daemon sends is drained
+// unread, so the daemon's writes never back up. The connection closes
+// when the test ends.
+func floodSession(tb testing.TB, addr, deviceID string, tierClass uint8) *transport.Conn {
+	tb.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tc := transport.NewConn(nc, transport.Options{
+		ReadTimeout:  250 * time.Millisecond,
+		WriteTimeout: 10 * time.Second,
+	})
+	tb.Cleanup(func() { tc.Close() })
+	hello := &protocol.Hello{Freshness: protocol.FreshCounter, Auth: protocol.AuthHMACSHA1, Tier: tierClass, DeviceID: deviceID}
+	if err := tc.Send(hello.Encode()); err != nil {
+		tb.Fatal(err)
+	}
+	go func() {
+		for {
+			if _, err := tc.RecvShared(); err != nil && !transport.IsTimeout(err) {
+				return
+			}
+		}
+	}()
+	return tc
+}
+
+// floodPaced sends hostile frames on tc at rate frames/s until deadline,
+// one frame per send, sleeping off any lead over the pace after each:
+// responses that answer no outstanding nonce alternate with malformed
+// frames. It returns the frames sent.
+func floodPaced(tc *transport.Conn, rate float64, deadline time.Time) int64 {
+	interval := time.Duration(float64(time.Second) / rate)
+	junk := []byte{0x41, 0x50, 0xFF, 0x00, 0x00} // response magic, bogus version
+	var buf []byte
+	var sent int64
+	next := time.Now()
+	for n := uint64(0); time.Now().Before(deadline); n++ {
+		if n%2 == 0 {
+			forged := protocol.AttResp{Nonce: 3_000_000_019 + n, Counter: n}
+			buf = forged.AppendEncode(buf[:0])
+		} else {
+			buf = append(buf[:0], junk...)
+		}
+		if tc.Send(buf) != nil {
+			return sent
+		}
+		sent++
+		next = next.Add(interval)
+		if sleep := time.Until(next); sleep > 0 {
+			time.Sleep(sleep)
+		}
+	}
+	return sent
+}
+
 // gateMix returns n frames of the 1:1:1 hostile mix that dies at the
 // daemon's gate — unsolicited responses, malformed responses and frames of
 // no known kind — encoded as one write, plus the byte offset after each

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"proverattest/internal/core"
+	"proverattest/internal/crypto/cost"
 	"proverattest/internal/protocol"
 	"proverattest/internal/transport"
 )
@@ -17,8 +20,9 @@ import (
 
 // session opens a device session on s naming id and serves it with a
 // FastResponder whose full measurement takes fullDelay. Each full MAC the
-// prover computes is signalled on the returned channel.
-func session(t *testing.T, s *Server, id string, fullDelay time.Duration) <-chan struct{} {
+// prover computes is signalled on the returned channel; served, when not
+// nil, is told of every answer sent, full or fast.
+func session(t *testing.T, s *Server, id string, fullDelay time.Duration, served func(req *protocol.AttReq, fast bool)) <-chan struct{} {
 	t.Helper()
 	client, nc := tcpPair(t)
 	t.Cleanup(func() { client.Close() })
@@ -44,12 +48,16 @@ func session(t *testing.T, s *Server, id string, fullDelay time.Duration) <-chan
 			if protocol.DecodeAttReqInto(frame, &req) != nil {
 				continue
 			}
-			if !fr.RespondInto(&req, &resp) {
+			fast := fr.RespondInto(&req, &resp)
+			if !fast {
 				fulls <- struct{}{}
 				time.Sleep(fullDelay)
 			}
 			if tc.Send(resp.Encode()) != nil {
 				return
+			}
+			if served != nil {
+				served(&req, fast)
 			}
 		}
 	}()
@@ -69,7 +77,7 @@ func TestSlowFullMACReachesFastPath(t *testing.T) {
 		c.FastPath = true
 		c.AttestEvery = period
 	})
-	fulls := session(t, s, "slow-dev", 3*period)
+	fulls := session(t, s, "slow-dev", 3*period, nil)
 
 	waitFor(t, 5*time.Second, "20 fast rounds", func() bool { return s.Counters().ResponsesFast >= 20 })
 	c := s.Counters()
@@ -84,6 +92,68 @@ func TestSlowFullMACReachesFastPath(t *testing.T) {
 		t.Fatal("no tick was deferred while the full MAC was outstanding")
 	}
 	t.Logf("%d fast rounds after one full MAC; %d ticks deferred", c.ResponsesFast, deferred)
+}
+
+// TestQuiescentFleetSpeedup: four clean devices on a fast-path daemon,
+// so after each device's first full measurement every round rides the
+// O(1) fast path. Each answer a device serves is priced in the paper's
+// currency, the cycles the simulated anchor charges for it
+// (internal/crypto/cost, the MSP430 at 24 MHz): an HMAC over the signed
+// request and the measured memory for a full answer, over
+// FastMACMessageLen bytes for a fast one. Every device must reach the fast
+// path, and the mean full answer must cost at least 100 times the mean
+// fast one.
+func TestQuiescentFleetSpeedup(t *testing.T) {
+	const devices = 4
+	s := testServer(t, func(c *Config) {
+		c.FastPath = true
+		c.AttestEvery = 100 * time.Millisecond
+		c.MaxInflight = 4 * devices
+	})
+	var (
+		mu                     sync.Mutex
+		fulls, fasts           [devices]int
+		fullCycles, fastCycles cost.Cycles
+	)
+	for i := range devices {
+		session(t, s, fmt.Sprintf("quiet-dev-%d", i), 0, func(req *protocol.AttReq, fast bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if fast {
+				fasts[i]++
+				fastCycles += cost.HMACSHA1(protocol.FastMACMessageLen)
+			} else {
+				fulls[i]++
+				fullCycles += cost.HMACSHA1(len(req.SignedBytes()) + len(s.cfg.Golden))
+			}
+		})
+	}
+	waitFor(t, 10*time.Second, "a fast round on every device", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, n := range fasts {
+			if n == 0 {
+				return false
+			}
+		}
+		return true
+	})
+
+	mu.Lock()
+	defer mu.Unlock()
+	var full, fast int
+	for i := range devices {
+		full += fulls[i]
+		fast += fasts[i]
+	}
+	if full == 0 {
+		t.Fatal("the fleet served fast answers without a full one")
+	}
+	speedup := (float64(fullCycles) / float64(full)) / (float64(fastCycles) / float64(fast))
+	if speedup < 100 {
+		t.Fatalf("full answer costs %.1fx a fast one in modelled prover cycles, below the 100x floor", speedup)
+	}
+	t.Logf("%d full and %d fast answers; a full answer costs %.0fx a fast one in modelled prover cycles", full, fast, speedup)
 }
 
 // TestMuteSessionHoldsOnlyItself: a second session names the device and
@@ -116,7 +186,7 @@ func TestMuteSessionHoldsOnlyItself(t *testing.T) {
 	}()
 	waitFor(t, 5*time.Second, "the mute session's first request", func() bool { return muteReqs.Load() == 1 })
 
-	fulls := session(t, s, "shared-dev", 0)
+	fulls := session(t, s, "shared-dev", 0, nil)
 	waitFor(t, 10*time.Second, "20 fast rounds on the device's own session", func() bool {
 		return s.Counters().ResponsesFast >= 20
 	})
@@ -141,7 +211,7 @@ func TestMuteSessionHoldsOnlyItself(t *testing.T) {
 func TestConcurrentSessionsShareOneDevice(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.AttestEvery = 5 * time.Millisecond })
 	for i := 0; i < 3; i++ {
-		session(t, s, "shared-dev", 0)
+		session(t, s, "shared-dev", 0, nil)
 	}
 	waitFor(t, 10*time.Second, "30 accepted rounds across the sessions", func() bool {
 		return s.Counters().ResponsesAccepted >= 30

@@ -169,30 +169,35 @@ func TestShardedStoreGetZeroAllocs(t *testing.T) {
 
 // TestGateRejectZeroAllocsOverPersistentStore re-pins the daemon's
 // attacker-reachable reject paths with the persistence backend slotted
-// in: the store wrapper must add nothing to frames that die at the gate.
+// in: the store wrapper must add nothing to frames that die at the gate,
+// whether or not a flusher runs behind it on the fsync timer.
 func TestGateRejectZeroAllocsOverPersistentStore(t *testing.T) {
-	ps := openPersistent(t, t.TempDir(), PersistOptions{Fsync: journal.FsyncNone})
-	s, err := New(Config{
-		Freshness:    protocol.FreshCounter,
-		Auth:         protocol.AuthHMACSHA1,
-		MasterSecret: testMaster,
-		Golden:       core.GoldenRAMPattern(),
-		Store:        ps,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, policy := range []journal.FsyncPolicy{journal.FsyncNone, journal.FsyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			ps := openPersistent(t, t.TempDir(), PersistOptions{Fsync: policy})
+			s, err := New(Config{
+				Freshness:    protocol.FreshCounter,
+				Auth:         protocol.AuthHMACSHA1,
+				MasterSecret: testMaster,
+				Golden:       core.GoldenRAMPattern(),
+				Store:        ps,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, err := s.device("alloc-persist-dev")
+			if err != nil {
+				t.Fatal(err)
+			}
+			unknown := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+			var g gateTally
+			allocsPerFrame(t, "unknown frame over persistent store", 0,
+				func() { s.handleFrame(&g, dev, nil, 0, unknown) })
+			unsolicited := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
+			allocsPerFrame(t, "unsolicited response over persistent store", 0,
+				func() { s.handleFrame(&g, dev, nil, 0, unsolicited) })
+		})
 	}
-	dev, err := s.device("alloc-persist-dev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	unknown := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	var g gateTally
-	allocsPerFrame(t, "unknown frame over persistent store", 0,
-		func() { s.handleFrame(&g, dev, nil, 0, unknown) })
-	unsolicited := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
-	allocsPerFrame(t, "unsolicited response over persistent store", 0,
-		func() { s.handleFrame(&g, dev, nil, 0, unsolicited) })
 }
 
 // --- satellite 2: fleet stats monotonicity under churn --------------------

@@ -114,7 +114,8 @@ type Config struct {
 	// PerConnBurst, whose admission decisions are identical to the old
 	// flat limiter. The tier-isolation property — a flooding tier
 	// exhausts its own budget without moving another tier's authentic
-	// latency — is what the -tier-isolation loadgen drill proves.
+	// latency — is what the tier-isolation drill (TestGoldTierIsolation,
+	// built under the drill tag) checks.
 	Tiers *TierPolicy
 
 	// AttestEvery is the per-prover attestation period (default 1 s).

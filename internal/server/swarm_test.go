@@ -87,7 +87,7 @@ func (b *swarmBridge) with(fn func(m *swarm.Mesh)) {
 	fn(b.mesh)
 }
 
-func testSwarmServer(t *testing.T, n, fanout int) (*Server, *swarmBridge, []string) {
+func testSwarmServer(t *testing.T, n, fanout int, every time.Duration) (*Server, *swarmBridge, []string) {
 	t.Helper()
 	ids := swarm.FleetIDs(n)
 	s := testServer(t, func(cfg *Config) {
@@ -96,7 +96,7 @@ func testSwarmServer(t *testing.T, n, fanout int) (*Server, *swarmBridge, []stri
 		cfg.Swarm = &SwarmConfig{
 			IDs:     ids,
 			Fanout:  fanout,
-			Every:   25 * time.Millisecond,
+			Every:   every,
 			Timeout: 2 * time.Second,
 		}
 	})
@@ -128,7 +128,7 @@ func hasFinding(fs []swarm.Finding, member int, cause swarm.Cause) bool {
 // then a lost member (localized, quarantined, survivors keep verifying).
 func TestServerSwarmRounds(t *testing.T) {
 	const n, fanout = 15, 2
-	s, b, _ := testSwarmServer(t, n, fanout)
+	s, b, _ := testSwarmServer(t, n, fanout, 25*time.Millisecond)
 	target := n - 1 // deepest member: the last leaf
 
 	waitFor(t, 10*time.Second, "clean swarm rounds", func() bool {
@@ -176,12 +176,54 @@ func TestServerSwarmRounds(t *testing.T) {
 	}
 }
 
+// TestServerSwarmMessageReduction: 64 members at fanout 4 behind one
+// gateway connection, a round every 100 ms for two seconds. Halfway
+// through, the deepest member's write monitor fires and its tag desyncs;
+// the daemon must localize it as a mismatch by bisection over the same
+// socket and resync it without eviction. Over the whole run, bisection
+// probes included, the verifier spends at least 10 times fewer frames per
+// round than the 2N of a direct deployment.
+func TestServerSwarmMessageReduction(t *testing.T) {
+	const n, fanout, duration = 64, 4, 2 * time.Second
+	s, b, _ := testSwarmServer(t, n, fanout, 100*time.Millisecond)
+	t0 := time.Now()
+	time.Sleep(duration / 2)
+
+	topo := s.SwarmTopology()
+	target := topo.MemberAt(topo.Len() - 1)
+	b.with(func(m *swarm.Mesh) { m.Nodes[target].Taint() })
+	drillEnd := time.Now().Add(duration/2 + 5*time.Second)
+	waitFor(t, time.Until(drillEnd), "the desynced member localized", func() bool {
+		return hasFinding(s.SwarmFindings(), target, swarm.CauseMismatch)
+	})
+	localized := s.SwarmStats().Accepted
+	waitFor(t, time.Until(drillEnd), "rounds resume after resync", func() bool {
+		return s.SwarmStats().Accepted > localized
+	})
+	if got := s.SwarmTopology().Len(); got != n {
+		t.Fatalf("resynced member was evicted: %d members left", got)
+	}
+	time.Sleep(duration - time.Since(t0))
+
+	c := s.Counters()
+	if accepted := s.SwarmStats().Accepted; c.SwarmRounds == 0 || accepted == 0 {
+		t.Fatalf("no swarm rounds verified: rounds=%d accepted=%d", c.SwarmRounds, accepted)
+	}
+	perRound := float64(2*c.SwarmRounds+2*c.SwarmBisections) / float64(c.SwarmRounds)
+	reduction := float64(2*n) / perRound
+	t.Logf("%d rounds, %d bisection probes: %.1f verifier frames per round against %d direct, %.1fx",
+		c.SwarmRounds, c.SwarmBisections, perRound, 2*n, reduction)
+	if reduction < 10 {
+		t.Fatalf("message reduction %.1fx below the 10x floor", reduction)
+	}
+}
+
 // TestServerSwarmMalformedResp: swarm responses share the serving gate
 // with everything else — a garbage frame with the right magic dies at
 // strict decode under its own reject cause, and a stale (wrong-nonce)
 // response dies as unsolicited.
 func TestServerSwarmMalformedResp(t *testing.T) {
-	s, b, _ := testSwarmServer(t, 3, 2)
+	s, b, _ := testSwarmServer(t, 3, 2, 25*time.Millisecond)
 	waitFor(t, 10*time.Second, "a clean round", func() bool {
 		return s.SwarmStats().Accepted >= 1
 	})

@@ -20,9 +20,8 @@ import (
 // tier-wide token bucket plus per-connection buckets, both refilled on the
 // serve loop's per-frame reading; see bucket.go), so a flooding class
 // exhausts its own tokens and dies at the cheap gate without touching
-// another class's budget. The tier-isolation loadgen drill
-// (cmd/attest-loadgen -tier-isolation) is the proof, CI-gated in
-// BENCH_server.json.
+// another class's budget. The tier-isolation drill (TestGoldTierIsolation,
+// built under the drill tag and run in its own CI step) is the proof.
 //
 // Tier resolution order (PROTOCOL.md "Admission tiers"):
 //

@@ -1,13 +1,19 @@
 package swarm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"proverattest/internal/protocol"
+)
 
 // TestCrossover: the message story is exact (2 verifier frames vs 2N)
 // and the measured verifier compute must cross over within the sweep —
 // the aggregate check does N small fixed-size MACs where the direct
 // baseline does N golden-image MACs.
 func TestCrossover(t *testing.T) {
-	rep, err := RunCrossover([]int{2, 4, 16, 64}, 2, 16*1024)
+	rep, err := runCrossover([]int{2, 4, 16, 64}, 2, 16*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,4 +38,127 @@ func TestCrossover(t *testing.T) {
 	if last.MsgReduction < 10 {
 		t.Fatalf("message reduction at n=%d is %.1fx, want ≥10x", last.N, last.MsgReduction)
 	}
+}
+
+// The direct-vs-swarm crossover: at what fleet size does aggregate
+// attestation beat N direct 1:1 rounds on the verifier? Messages are
+// counted exactly; verifier-side compute is measured wall-clock over the
+// real primitives, because the asymptotics hide a constant — the swarm
+// check replaces N golden-image MACs (each over the whole measured
+// region) with N small fixed-size MACs over memoized digests, so compute
+// crosses over long before the message count does on large images.
+
+// crossoverPoint is one fleet size in the sweep.
+type crossoverPoint struct {
+	N     int
+	Depth int
+
+	// Verifier-side frames for one full-fleet round.
+	DirectVerifierMsgs int // 2N
+	SwarmVerifierMsgs  int // 2
+	// Frames crossing tree edges (the fabric pays these, not the
+	// verifier's uplink).
+	SwarmTreeMsgs int
+
+	// Measured verifier-side compute per full-fleet round.
+	DirectVerifyUS float64
+	SwarmVerifyUS  float64
+
+	MsgReduction float64 // direct / swarm verifier msgs
+}
+
+// crossoverReport is the sweep outcome.
+type crossoverReport struct {
+	Points []crossoverPoint
+	// ComputeCrossoverN is the smallest swept fleet size where the
+	// swarm verifier round costs less CPU than N direct verifications
+	// (the message crossover is N=1: 2 frames beat 2N at any N>1).
+	ComputeCrossoverN int
+}
+
+// runCrossover sweeps fleet sizes, measuring one full-fleet round per
+// point both ways on real primitives.
+func runCrossover(sizes []int, fanout, memSize int) (crossoverReport, error) {
+	rep := crossoverReport{ComputeCrossoverN: -1}
+	master := []byte("swarm-crossover-master")
+	golden := make([]byte, memSize)
+	for i := range golden {
+		golden[i] = byte(i * 131)
+	}
+	for _, n := range sizes {
+		p := Params{Master: master, IDs: FleetIDs(n), Golden: golden, Fanout: fanout}
+		mesh, err := NewMesh(p)
+		if err != nil {
+			return rep, err
+		}
+		v, err := NewVerifier(p)
+		if err != nil {
+			return rep, err
+		}
+		root, _ := mesh.Topo.Root()
+
+		// Warm the mesh (first round full-measures every member) and the
+		// verifier scratch.
+		req := v.NewRequest(root, false)
+		var resp protocol.SwarmResp
+		if err := mesh.Collect(req, &resp); err != nil {
+			return rep, err
+		}
+		if err := v.Check(req, &resp); err != nil {
+			return rep, fmt.Errorf("swarm: crossover warm round n=%d: %w", n, err)
+		}
+
+		pt := crossoverPoint{
+			N:                  n,
+			Depth:              mesh.Topo.Height(),
+			DirectVerifierMsgs: 2 * n,
+			SwarmVerifierMsgs:  2,
+		}
+
+		// Swarm: steady-state rounds over the fabric, timing only the
+		// verifier's share (NewRequest + Check) — the fabric's fold time
+		// is prover energy, not verifier load.
+		const iters = 16
+		mesh.TreeMessages = 0
+		verifierOnly := time.Duration(0)
+		for it := 0; it < iters; it++ {
+			t0 := time.Now()
+			req := v.NewRequest(root, false)
+			reqDone := time.Since(t0)
+			if err := mesh.Collect(req, &resp); err != nil {
+				return rep, err
+			}
+			t1 := time.Now()
+			if err := v.Check(req, &resp); err != nil {
+				return rep, fmt.Errorf("swarm: crossover round n=%d: %w", n, err)
+			}
+			verifierOnly += reqDone + time.Since(t1)
+		}
+		pt.SwarmVerifyUS = float64(verifierOnly.Microseconds()) / iters
+		pt.SwarmTreeMsgs = int(mesh.TreeMessages) / iters
+
+		// Direct baseline: per device, the verifier signs one request
+		// header and recomputes the golden-image response MAC — the
+		// 1:1 protocol's verifier work, N times per fleet round. The
+		// image MAC cannot be memoized across devices or rounds: it is
+		// keyed per device and bound to the fresh request.
+		var attReq protocol.AttReq
+		reqHdr := attReq.AppendSignedBytes(nil)
+		start := time.Now()
+		for it := 0; it < iters; it++ {
+			for d := 0; d < n; d++ {
+				mac := v.macs[d]
+				mac.Tag(reqHdr)              // request tag
+				mac.Measure(&attReq, golden) // expected response MAC over the image
+			}
+		}
+		pt.DirectVerifyUS = float64(time.Since(start).Microseconds()) / iters
+
+		pt.MsgReduction = float64(pt.DirectVerifierMsgs) / float64(pt.SwarmVerifierMsgs)
+		if rep.ComputeCrossoverN < 0 && pt.SwarmVerifyUS < pt.DirectVerifyUS {
+			rep.ComputeCrossoverN = n
+		}
+		rep.Points = append(rep.Points, pt)
+	}
+	return rep, nil
 }

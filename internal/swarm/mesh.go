@@ -9,9 +9,9 @@ import (
 )
 
 // Mesh is an in-process swarm fleet: host Nodes wired by the shared
-// topology, with per-edge message counting. It is the loadgen's device
-// fabric (only the tree root ever talks to the daemon socket) and the
-// crossover harness's prover side. Adversarial members are modelled
+// topology, with per-edge message counting. It is the device fabric
+// behind the server's swarm tests (only the tree root ever talks to the
+// daemon socket) and the crossover sweep's prover side. Adversarial members are modelled
 // in-mesh: Absent members never answer, ForgeChildren members fabricate
 // their children's evidence instead of querying them.
 type Mesh struct {

@@ -10,9 +10,9 @@ import (
 
 // Node is a host-level swarm prover: the same three-phase round state
 // machine as the anchor's HandleSwarmBegin / SwarmFoldChild /
-// SwarmRespond, minus the simulated MCU underneath. The loadgen uses a
-// Mesh of Nodes as its in-process device fabric; the crossover harness
-// times rounds over them. Begin/AddChild/FinishInto are allocation-free
+// SwarmRespond, minus the simulated MCU underneath. The server's swarm
+// tests use a Mesh of Nodes as the device fabric behind the gateway
+// connection; the crossover sweep times rounds over them. Begin/AddChild/FinishInto are allocation-free
 // after warm-up — the per-hop aggregate fold is a hot path on hardware
 // that has no allocator at all, and the host model keeps that honest. A
 // Node holds two MACs and is not safe for concurrent use.

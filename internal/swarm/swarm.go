@@ -7,7 +7,7 @@
 //
 // The pieces:
 //
-//   - Node: a host-level prover (the loadgen's device mesh) holding the
+//   - Node: a host-level prover (a Mesh member) holding the
 //     RATA-style measurement memo (epoch + stored digest, re-measured
 //     only when dirty) and the per-hop aggregate fold. The simulated-MCU
 //     counterpart lives in internal/anchor (HandleSwarmBegin /
@@ -15,7 +15,8 @@
 //   - Verifier: recomputes the expected aggregate from per-device
 //     verified state in one zero-allocation pass, and drives bisection.
 //   - Mesh: an in-process tree of Nodes with message counting — the
-//     loadgen's device fabric and the crossover harness.
+//     device fabric behind the server's swarm tests and the crossover
+//     sweep.
 //   - FleetSwarm: the discrete-event driver over core.Fleet, running
 //     rounds against real anchors on the sim kernel (hop latency,
 //     absent-member timeouts, the adversary matrix).
