@@ -17,13 +17,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race detector over the concurrent campaign-runner stack, the networked
-# transport/daemon/agent stack and the socket relay impersonator.
+# Race detector over the concurrent campaign-runner stack, the verifier's
+# pending store, the networked transport/daemon/agent stack and the socket
+# relay impersonator.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/core/... \
-		./internal/transport/... ./internal/server/... ./internal/agent/... \
-		./internal/faultnet/... ./internal/cluster/... ./internal/journal/... \
-		./internal/admin/... ./internal/adversary/...
+		./internal/protocol/... ./internal/transport/... ./internal/server/... \
+		./internal/agent/... ./internal/faultnet/... ./internal/cluster/... \
+		./internal/journal/... ./internal/admin/... ./internal/adversary/...
 
 # One benchmark per paper table/figure plus the ablations.
 bench:

@@ -315,7 +315,8 @@ func TestDaemonRestartForcesOneFullMAC(t *testing.T) {
 // drops every one as stale, unanswered. The new daemon cannot tell such a
 // request from a full measurement in progress: it waits on the first one
 // for one RequestTimeout, then stops waiting until the device answers and
-// catches up at one counter per tick, not one per RequestTimeout.
+// catches up at its session's bound of 16 counters per RequestTimeout,
+// not one.
 func TestRestartBehindManyStaleCounters(t *testing.T) {
 	fastCfg := func(every time.Duration) func(*server.Config) {
 		return func(c *server.Config) {

@@ -1,6 +1,10 @@
 package protocol
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+)
 
 // The quiescent-fleet contract: once a full measurement has armed both
 // sides, every clean round is O(1) on the prover and a single memoized
@@ -295,4 +299,81 @@ func TestVerifierFastAcceptZeroAllocs(t *testing.T) {
 			t.Fatalf("fast accept failed: ok=%v err=%v", ok, err)
 		}
 	})
+}
+
+// TestIssueRoundAllocs pins the round a serving daemon runs per request:
+// Issue signs and encodes into the caller's buffer, and the request is
+// then answered (CheckStamped hands the issue stamp back) or abandoned.
+// Either way the round costs one object, the tag HMACAuth.Sign returns:
+// the pending entry is a map value small enough for the map's own slots.
+func TestIssueRoundAllocs(t *testing.T) {
+	if n := unsafe.Sizeof(pendingAtt{}); n > 128 {
+		t.Fatalf("pendingAtt is %d bytes; a map value over 128 bytes is stored out of line, one allocation per insert", n)
+	}
+	v, fr := fastRig(t)
+	var (
+		buf   []byte
+		stamp int64
+		req   AttReq
+		resp  AttResp
+	)
+	issue := func() uint64 {
+		stamp++
+		var (
+			nonce uint64
+			err   error
+		)
+		if buf, nonce, err = v.Issue(buf[:0], stamp); err != nil {
+			t.Fatal(err)
+		}
+		return nonce
+	}
+	answered := func() {
+		issue()
+		if err := DecodeAttReqInto(buf, &req); err != nil {
+			t.Fatal(err)
+		}
+		if !fr.RespondInto(&req, &resp) {
+			t.Fatal("clean responder fell back to the full MAC")
+		}
+		if got, err := v.CheckStamped(&resp); err != nil || got != stamp {
+			t.Fatalf("CheckStamped = %d, %v; want the issue stamp %d accepted", got, err, stamp)
+		}
+	}
+	abandoned := func() {
+		if !v.Abandon(issue()) {
+			t.Fatal("Abandon refused the request just issued")
+		}
+	}
+	for name, round := range map[string]func(){"answered": answered, "abandoned": abandoned} {
+		round() // warm up: the buffer and the map's first group
+		if n := testing.AllocsPerRun(1000, round); n > 1 {
+			t.Errorf("%s round: %v allocs, want <= 1 (the tag)", name, n)
+		}
+	}
+	if v.Outstanding() != 0 {
+		t.Fatalf("%d requests left pending", v.Outstanding())
+	}
+}
+
+// TestIssueMatchesNewRequest: Issue continues the same nonce, counter and
+// fast-permission stream as NewRequest and appends exactly the frame
+// NewRequest's request encodes to, after whatever dst already holds.
+func TestIssueMatchesNewRequest(t *testing.T) {
+	a, _ := fastRig(t)
+	b, _ := fastRig(t)
+	for i := 0; i < 3; i++ {
+		req, err := a.NewRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, nonce, err := b.Issue([]byte("prefix"), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nonce != req.Nonce || !bytes.Equal(frame, append([]byte("prefix"), req.Encode()...)) {
+			t.Fatalf("round %d: Issue gave nonce %d, frame %x; NewRequest nonce %d, frame %x",
+				i, nonce, frame, req.Nonce, req.Encode())
+		}
+	}
 }

@@ -25,7 +25,7 @@ type Verifier struct {
 
 	counter     uint64
 	nonceSeq    uint64
-	pending     map[uint64]*pendingAtt // outstanding requests by nonce
+	pending     map[uint64]pendingAtt  // outstanding requests by nonce
 	pendingCmds map[uint64]*CommandReq // outstanding service commands
 
 	// Fast-path state: the digest and monitor epoch of the last verified
@@ -110,30 +110,42 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 		golden:      cfg.Golden,
 		clock:       cfg.Clock,
 		allowFast:   cfg.AllowFastPath,
-		pending:     make(map[uint64]*pendingAtt),
+		pending:     make(map[uint64]pendingAtt),
 		pendingCmds: make(map[uint64]*CommandReq),
 	}
 	return v, nil
 }
 
-// pendingAtt is one outstanding attestation request plus the memoized
-// measurement expected in its response. The expectation is an HMAC over
-// the whole golden image, so it is computed at most once per request — on
-// the first response claiming the nonce — rather than on every claim: a
-// peer spamming bad responses against a known outstanding nonce costs the
-// verifier one golden-image MAC total, not one per frame.
+// pendingAtt is one outstanding attestation request, held by value in the
+// pending map: what its signed header needs beyond the verifier's own
+// freshness and auth kinds and the nonce that keys it, the memoized
+// measurements it accepts, and its issue stamp. It keeps no tag: nothing
+// after the issue reads one. Go stores a map value of up to 128 bytes in
+// the map's own slots, so an entry this small costs an insert no
+// allocation (pinned in fastpath_alloc_test.go).
 type pendingAtt struct {
-	req      *AttReq
+	counter, timestamp uint64
+
+	// issuedAt is the caller's stamp (see Issue), handed back when the
+	// request is accepted.
+	issuedAt int64
+
+	// want is the expected full measurement, an HMAC over the whole
+	// golden image, so it is computed at most once per request — on the
+	// first response claiming the nonce — rather than on every claim: a
+	// peer spamming bad responses against a known outstanding nonce costs
+	// the verifier one golden-image MAC total, not one per frame.
 	want     [sha1.Size]byte
 	haveWant bool
 
-	// wantFast is the only fast MAC this request will accept, precomputed
-	// at issue time from the verifier's own fast state (cheap: the input
-	// is ~70 bytes, not the memory image). Precomputing here keeps the
-	// per-frame fast accept a single constant-time compare — zero
-	// allocations under hostile response traffic.
-	wantFast     [sha1.Size]byte
-	haveFastWant bool
+	// allowFast marks a request that granted fast-path permission;
+	// wantFast is then the only fast MAC it accepts, precomputed at issue
+	// time from the verifier's own fast state (cheap: the input is ~70
+	// bytes, not the memory image). Precomputing here keeps the per-frame
+	// fast accept a single constant-time compare — zero allocations under
+	// hostile response traffic.
+	allowFast bool
+	wantFast  [sha1.Size]byte
 
 	// refused is set when an answer claiming this request was refused.
 	// The request stays pending — a forged answer must not retire the
@@ -146,8 +158,33 @@ type pendingAtt struct {
 // verified (arming the fast record), the request grants fast-path
 // permission and memoizes the one fast MAC it would accept.
 func (v *Verifier) NewRequest() (*AttReq, error) {
+	req := new(AttReq)
+	if err := v.issue(req, 0); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// Issue builds, signs and records the next attestation request as
+// NewRequest does, appends its encoded frame to dst and returns the
+// extended slice and the request's nonce. The pending request is stamped
+// issuedAt, any value the caller chooses (attestd passes a monotonic clock
+// reading), which CheckStamped hands back when the request is accepted.
+// Beyond dst's growth, Issue allocates only the tag the Authenticator
+// returns.
+func (v *Verifier) Issue(dst []byte, issuedAt int64) ([]byte, uint64, error) {
+	var req AttReq
+	if err := v.issue(&req, issuedAt); err != nil {
+		return dst, 0, err
+	}
+	return req.AppendEncode(dst), req.Nonce, nil
+}
+
+// issue fills req with the next signed request and records it as pending,
+// stamped issuedAt.
+func (v *Verifier) issue(req *AttReq, issuedAt int64) error {
 	v.nonceSeq++
-	req := &AttReq{
+	*req = AttReq{
 		Freshness: v.freshness,
 		Auth:      v.auth.Kind(),
 		Nonce:     v.nonceSeq,
@@ -162,19 +199,18 @@ func (v *Verifier) NewRequest() (*AttReq, error) {
 	}
 	tag, err := v.auth.Sign(req.AppendSignedBytes(v.signed[:0]))
 	if err != nil {
-		return nil, fmt.Errorf("protocol: signing request: %w", err)
+		return fmt.Errorf("protocol: signing request: %w", err)
 	}
 	req.Tag = tag
-	p := &pendingAtt{req: req}
+	p := pendingAtt{counter: req.Counter, timestamp: req.Timestamp, issuedAt: issuedAt, allowFast: req.AllowFast}
 	if req.AllowFast {
 		p.wantFast = *v.mac.fast(req, v.fastEpoch, &v.fastDigest)
-		p.haveFastWant = true
 	} else {
 		v.lastFull = req.Nonce
 	}
 	v.pending[req.Nonce] = p
 	v.Issued++
-	return req, nil
+	return nil
 }
 
 // ExpectedMeasurement computes the measurement the prover should report
@@ -221,10 +257,19 @@ func (v *Verifier) CheckResponse(raw []byte) (bool, error) {
 // that decode outside the verifier lock with DecodeAttRespInto. The
 // response is only read, never retained.
 func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
+	_, err := v.CheckStamped(resp)
+	return err == nil, err
+}
+
+// CheckStamped validates an already-decoded response as
+// CheckDecodedResponse does, reporting acceptance as a nil error. An
+// accepted response also returns the stamp its request was issued with
+// (see Issue), read in the same lookup that found the request.
+func (v *Verifier) CheckStamped(resp *AttResp) (issuedAt int64, err error) {
 	p, ok := v.pending[resp.Nonce]
 	if !ok {
 		v.Unsolicited++
-		return false, ErrUnsolicited
+		return 0, ErrUnsolicited
 	}
 	if resp.Fast {
 		// Fast responses are only accepted against the MAC memoized at
@@ -232,21 +277,25 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 		// itself recorded from the last accepted full measurement. A
 		// prover lying about cleanliness — its epoch advanced past the
 		// verified record, or its digest never verified — lands here.
-		if !p.haveFastWant || !hmac.Equal(p.wantFast[:], resp.Measurement[:]) {
+		if !p.allowFast || !hmac.Equal(p.wantFast[:], resp.Measurement[:]) {
 			v.Rejected++
 			v.FastRejected++
 			v.haveFast = false
-			p.refused = true
-			return false, ErrFastMismatch
+			v.refuse(resp.Nonce, p, false)
+			return 0, ErrFastMismatch
 		}
 		delete(v.pending, resp.Nonce)
 		v.Accepted++
 		v.FastAccepted++
 		v.answered = true
-		return true, nil
+		return p.issuedAt, nil
 	}
-	if !p.haveWant {
-		p.want = v.ExpectedMeasurement(p.req)
+	memo := !p.haveWant
+	if memo {
+		// The measurement binds the signed header, not the tag.
+		req := AttReq{Freshness: v.freshness, Auth: v.auth.Kind(), AllowFast: p.allowFast,
+			Nonce: resp.Nonce, Counter: p.counter, Timestamp: p.timestamp}
+		p.want = v.ExpectedMeasurement(&req)
 		p.haveWant = true
 	}
 	if !hmac.Equal(p.want[:], resp.Measurement[:]) {
@@ -254,8 +303,8 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 		// A deviating prover must stay on the full MAC until a verified
 		// full measurement re-establishes trust.
 		v.haveFast = false
-		p.refused = true
-		return false, ErrMeasurementMismatch
+		v.refuse(resp.Nonce, p, memo)
+		return 0, ErrMeasurementMismatch
 	}
 	delete(v.pending, resp.Nonce)
 	v.Accepted++
@@ -269,7 +318,18 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 		v.haveFast = true
 		v.armedBy = resp.Nonce
 	}
-	return true, nil
+	return p.issuedAt, nil
+}
+
+// refuse stores p back as refused, unless it already was and memo (a
+// measurement memoized by this check) gives no other reason to: a peer
+// repeating a refused answer costs one lookup, not a write as well.
+func (v *Verifier) refuse(nonce uint64, p pendingAtt, memo bool) {
+	if p.refused && !memo {
+		return
+	}
+	p.refused = true
+	v.pending[nonce] = p
 }
 
 // DropFastState discards the verifier's fast-path arm record, forcing the
@@ -307,7 +367,7 @@ func (v *Verifier) MeasuringFull(nonce uint64) bool {
 		return false
 	}
 	p, ok := v.pending[nonce]
-	return ok && !p.req.AllowFast && !p.refused
+	return ok && !p.allowFast && !p.refused
 }
 
 // NewCommand builds and signs a service command (secure update, secure
@@ -450,7 +510,7 @@ func (v *Verifier) LastCounter() uint64 { return v.counter }
 // already seen, plus the RATA fast-path arm record. Outstanding requests
 // are deliberately not part of the state — they are bound to the
 // connection that issued them and die with it (the issuing daemon's
-// abandon timers retire them), while the streams below are what replay
+// session retires them), while the streams below are what replay
 // protection is built on and must survive.
 type VerifierState struct {
 	Counter  uint64

@@ -46,8 +46,8 @@ func (s *Server) deviceInfo(d *deviceState) admin.DeviceInfo {
 	// Base + latest under one lock acquisition, same as AgentStats: a
 	// reboot fold between the two reads would drop an epoch.
 	stats := d.statsBase
-	if last := d.lastStats.Load(); last != nil {
-		stats.Accumulate(last)
+	if d.haveLast {
+		stats.Accumulate(&d.lastStats)
 	}
 	d.mu.Unlock()
 	info.Counter = st.Counter
@@ -101,14 +101,12 @@ func (s *Server) AdminReattest(id string) bool {
 	if !ok {
 		return false
 	}
-	gone := false
-	d.withLock(func() {
-		if d.handedOff {
-			gone = true
-			return
-		}
+	d.mu.Lock()
+	gone := d.handedOff
+	if !gone {
 		d.v.DropFastState()
-	})
+	}
+	d.mu.Unlock()
 	if gone {
 		return false
 	}

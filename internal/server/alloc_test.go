@@ -246,40 +246,74 @@ func BenchmarkHandleFrameUnsolicited(b *testing.B) {
 func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
-	// One decoded StatsReport object per heartbeat frame is the budget.
+	// The agent sends a stats frame after every reply: the report is
+	// decoded on the stack and copied into the device entry.
 	var g gateTally
-	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(&g, dev, nil, 0, frame) })
-	if dev.lastStats.Load() == nil {
+	allocsPerFrame(t, "stats frame", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	if !dev.haveLast || dev.lastStats.Received != 1 {
 		t.Fatal("stats report not retained")
 	}
 }
 
-// TestIssueOneAllocs pins the honest issue path: sign and encode the
-// request, send it, arm its abandon timer. A drained pipe stands in for
-// the agent; the high inflight cap and the long timeout keep every
-// measured request outstanding and its timer unfired.
+// TestIssueOneAllocs pins the honest issue path per request: retire the
+// session's answered and expired requests, sign and encode into the
+// session's buffer, send. Each measured request is then answered (its
+// response precomputed and served through handleFrame) or abandoned (the
+// session's next wake, at the request's deadline, retires it). Either way
+// the round costs at most the one object HMACAuth.Sign returns. A drained
+// pipe stands in for the agent.
 func TestIssueOneAllocs(t *testing.T) {
-	s, dev := newAllocRig(t, func(c *Config) {
-		c.MaxInflight = 1 << 20
-		c.RequestTimeout = time.Hour
-	})
-	agentNC, nc := net.Pipe()
-	defer agentNC.Close()
-	go io.Copy(io.Discard, agentNC) //nolint:errcheck
-	tc := transport.NewConn(nc, transport.Options{})
-	defer tc.Close()
-	var last uint64
-	issue := func() {
-		if !s.issueOne(dev, tc, &last) {
-			t.Fatal("issueOne reported a dead connection")
-		}
-	}
-	issue() // warm up
-	if n := testing.AllocsPerRun(1000, issue); n > 7 {
-		t.Errorf("issueOne: %v allocs/request, want <= 7", n)
-	}
-	if got := s.Counters().RequestsIssued; got != 1002 {
-		t.Fatalf("RequestsIssued = %d, want 1002", got)
+	golden := make([]byte, 4096)
+	for _, answered := range []bool{true, false} {
+		name := map[bool]string{true: "answered", false: "abandoned"}[answered]
+		t.Run(name, func(t *testing.T) {
+			s, dev := newAllocRig(t, func(c *Config) { c.Golden = golden })
+			agentNC, nc := net.Pipe()
+			defer agentNC.Close()
+			go io.Copy(io.Discard, agentNC) //nolint:errcheck
+			tc := transport.NewConn(nc, transport.Options{})
+			defer tc.Close()
+
+			// One warm-up round, AllocsPerRun's own and the 1000 measured.
+			const rounds = 1002
+			key := protocol.DeriveDeviceKey(testMaster, dev.id)
+			answers := make([][]byte, rounds)
+			for i := range answers {
+				n := uint64(i + 1) // nonces and counters both start at 1
+				req := protocol.AttReq{Freshness: protocol.FreshCounter, Auth: protocol.AuthHMACSHA1, Nonce: n, Counter: n}
+				answers[i] = (&protocol.AttResp{Nonce: n, Counter: n, Measurement: protocol.Measure(key[:], &req, golden)}).Encode()
+			}
+			var (
+				w sessionWindow
+				g gateTally
+				i int
+			)
+			round := func() {
+				if !s.issueOne(dev, tc, &w) || w.n != 1 {
+					t.Fatalf("round %d: issueOne sent nothing (%d pending in the window)", i, w.n)
+				}
+				if answered {
+					if cause := s.handleFrame(&g, dev, nil, 0, answers[i]); cause != causeNone {
+						t.Fatalf("round %d: answer refused, cause %d", i, cause)
+					}
+				}
+				s.sweep(dev, &w, w.sent[w.n-1].deadline)
+				i++
+			}
+			round() // warm up
+			if n := testing.AllocsPerRun(1000, round); n > 1 {
+				t.Errorf("issueOne: %v allocs/request, want <= 1", n)
+			}
+			s.publish(&g)
+			c := s.Counters()
+			if c.RequestsIssued != rounds || s.Inflight() != 0 {
+				t.Fatalf("RequestsIssued = %d, Inflight = %d; want %d and 0", c.RequestsIssued, s.Inflight(), rounds)
+			}
+			want := map[bool]uint64{true: 0, false: rounds}[answered]
+			if c.ResponsesAccepted != rounds-want || c.RequestsAbandoned != want {
+				t.Fatalf("accepted %d, abandoned %d of %d requests", c.ResponsesAccepted, c.RequestsAbandoned, rounds)
+			}
+		})
 	}
 }
 

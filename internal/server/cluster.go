@@ -49,10 +49,7 @@ func (d *deviceState) importSnapshot(snap cluster.Snapshot) {
 	d.v.ImportState(snap.State)
 	d.statsBase = snap.StatsBase
 	d.statsEpochs = snap.StatsEpochs
-	if snap.HaveLast {
-		st := snap.LastStats
-		d.lastStats.Store(&st)
-	}
+	d.lastStats, d.haveLast = snap.LastStats, snap.HaveLast
 }
 
 // snapshotFor reads a device's current transferable state — the
@@ -72,16 +69,13 @@ func (s *Server) snapshotFor(deviceID string) (cluster.Snapshot, bool) {
 
 // snapshotLocked assembles the transfer snapshot. Callers hold d.mu.
 func (d *deviceState) snapshotLocked() cluster.Snapshot {
-	snap := cluster.Snapshot{
+	return cluster.Snapshot{
 		State:       d.v.ExportState(),
 		StatsBase:   d.statsBase,
 		StatsEpochs: d.statsEpochs,
+		LastStats:   d.lastStats,
+		HaveLast:    d.haveLast,
 	}
-	if st := d.lastStats.Load(); st != nil {
-		snap.LastStats = *st
-		snap.HaveLast = true
-	}
-	return snap
 }
 
 // extractState serves a peer's state request with move semantics: export

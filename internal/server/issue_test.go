@@ -19,9 +19,10 @@ import (
 // wait but not the request, and the issue loop keeps to its grid.
 
 // session opens a device session on s naming id and serves it with a
-// FastResponder whose full measurement takes fullDelay. Each full MAC the
-// prover computes is signalled on the returned channel; served, when not
-// nil, is told of every answer sent, full or fast.
+// FastResponder over the daemon's golden image whose full measurement
+// takes fullDelay. Each full MAC the prover computes is signalled on the
+// returned channel; served, when not nil, is told of every answer sent,
+// full or fast.
 func session(t *testing.T, s *Server, id string, fullDelay time.Duration, served func(req *protocol.AttReq, fast bool)) <-chan struct{} {
 	t.Helper()
 	client, nc := tcpPair(t)
@@ -33,7 +34,7 @@ func session(t *testing.T, s *Server, id string, fullDelay time.Duration, served
 		t.Fatal(err)
 	}
 	key := protocol.DeriveDeviceKey(testMaster, id)
-	fr := protocol.NewFastResponder(key[:], core.GoldenRAMPattern())
+	fr := protocol.NewFastResponder(key[:], s.cfg.Golden)
 	fulls := make(chan struct{}, 1024)
 	go func() {
 		var (
@@ -202,6 +203,107 @@ func TestMuteSessionHoldsOnlyItself(t *testing.T) {
 	}
 }
 
+// TestSessionWindowBounded: a session that never answers holds at most
+// maxSessionPending requests, each with its in-flight slot; every later
+// tick is deferred.
+func TestSessionWindowBounded(t *testing.T) {
+	s := testServer(t, func(c *Config) {
+		c.AttestEvery = 2 * time.Millisecond
+		c.RequestTimeout = time.Hour
+	})
+	client, nc := tcpPair(t)
+	defer client.Close()
+	serveDevice(t, s, client, nc, "mute-dev")
+	waitFor(t, 5*time.Second, "ticks deferred at a full window", func() bool { return s.m.issueDeferred.Load() >= 3 })
+	if c := s.Counters(); c.RequestsIssued != maxSessionPending || s.Inflight() != maxSessionPending {
+		t.Fatalf("issued %d, in flight %d; want the window's %d each", c.RequestsIssued, s.Inflight(), maxSessionPending)
+	}
+}
+
+// TestEndedSessionReturnsItsSlots: when a session that never answered
+// closes, it retires its requests and returns their in-flight slots at
+// once, not one RequestTimeout later.
+func TestEndedSessionReturnsItsSlots(t *testing.T) {
+	s := testServer(t, func(c *Config) {
+		c.AttestEvery = 2 * time.Millisecond
+		c.RequestTimeout = time.Hour
+	})
+	client, nc := tcpPair(t)
+	done := serveDevice(t, s, client, nc, "leaving-dev")
+	waitFor(t, 5*time.Second, "requests in flight", func() bool { return s.Inflight() >= 4 })
+	client.Close()
+	<-done
+	waitFor(t, 5*time.Second, "the ended session's slots back", func() bool { return s.Inflight() == 0 })
+	if c := s.Counters(); c.RequestsAbandoned != c.RequestsIssued {
+		t.Fatalf("abandoned %d of the %d requests issued, want all", c.RequestsAbandoned, c.RequestsIssued)
+	}
+}
+
+// TestRequestExpiresBetweenRounds: with AttestEvery far longer than
+// RequestTimeout, an unanswered request is still retired at its deadline:
+// the issue loop wakes for it, not only for the next round.
+func TestRequestExpiresBetweenRounds(t *testing.T) {
+	s := testServer(t, func(c *Config) {
+		c.AttestEvery = time.Hour
+		c.RequestTimeout = 20 * time.Millisecond
+	})
+	client, nc := tcpPair(t)
+	defer client.Close()
+	serveDevice(t, s, client, nc, "slow-round-dev")
+	waitFor(t, 5*time.Second, "the first request to expire", func() bool { return s.Counters().RequestsAbandoned == 1 })
+	if c := s.Counters(); c.RequestsIssued != 1 || s.Inflight() != 0 {
+		t.Fatalf("issued %d, in flight %d; want 1 and 0", c.RequestsIssued, s.Inflight())
+	}
+}
+
+// TestMuteSessionsLeaveHonestRounds is the mute-session drill: eight
+// sessions with distinct IDs send a hello and never answer, at the
+// default MaxInflight. RequestTimeout is 100 periods, so without a
+// per-session bound they would want 800 slots; with it they hold at most
+// 128 of the 256, and an honest device completes within 10% as many
+// rounds as on a daemon without them, run beside it. The run lasts past
+// one RequestTimeout: with the fast path on, a mute session waits on its
+// first, full request only until that request expires.
+func TestMuteSessionsLeaveHonestRounds(t *testing.T) {
+	const (
+		period  = 2 * time.Millisecond
+		timeout = 100 * period
+		mute    = 8
+	)
+	for _, fast := range []bool{false, true} {
+		t.Run(map[bool]string{false: "full", true: "fast"}[fast], func(t *testing.T) {
+			daemon := func(mute int) *Server {
+				s := testServer(t, func(c *Config) {
+					c.FastPath = fast
+					c.AttestEvery = period
+					c.RequestTimeout = timeout
+					c.Golden = make([]byte, 4096)
+				})
+				for i := 0; i < mute; i++ {
+					client, nc := tcpPair(t)
+					t.Cleanup(func() { client.Close() })
+					serveDevice(t, s, client, nc, fmt.Sprintf("mute-dev-%d", i))
+				}
+				waitFor(t, 5*time.Second, "the mute sessions to open", func() bool {
+					return s.Counters().ConnsAccepted == uint64(mute)
+				})
+				return s
+			}
+			quiet, loaded := daemon(0), daemon(mute)
+			session(t, quiet, "honest-dev", 0, nil)
+			session(t, loaded, "honest-dev", 0, nil)
+			time.Sleep(timeout * 9 / 4)
+			q, l := quiet.Counters(), loaded.Counters()
+			t.Logf("honest rounds: %d alone, %d beside %d mute sessions (%d throttled, %d deferred, %d abandoned)",
+				q.ResponsesAccepted, l.ResponsesAccepted, mute, l.InflightThrottled, loaded.m.issueDeferred.Load(), l.RequestsAbandoned)
+			if l.ResponsesAccepted*10 < q.ResponsesAccepted*9 {
+				t.Fatalf("the honest device completed %d rounds beside %d mute sessions, %d alone",
+					l.ResponsesAccepted, mute, q.ResponsesAccepted)
+			}
+		})
+	}
+}
+
 // TestConcurrentSessionsShareOneDevice: three sessions name one device
 // and answer at once. Their issue and read loops share the device's
 // verifier and the keyed MACs it and its authenticator hold, which are
@@ -242,8 +344,8 @@ func TestRefusedAnswerKeepsTheRequest(t *testing.T) {
 	key := protocol.DeriveDeviceKey(testMaster, dev.id)
 	fr := protocol.NewFastResponder(key[:], core.GoldenRAMPattern())
 	var (
-		last           uint64    // the device session's issue loop state
-		device, forger gateTally // two sessions naming the device
+		w              sessionWindow // the device session's issue state
+		device, forger gateTally     // two sessions naming the device
 		issued         int
 	)
 
@@ -252,7 +354,7 @@ func TestRefusedAnswerKeepsTheRequest(t *testing.T) {
 	tick := func() *protocol.AttReq {
 		t.Helper()
 		before := s.Counters().RequestsIssued
-		if !s.issueOne(dev, tc, &last) {
+		if !s.issueOne(dev, tc, &w) {
 			t.Fatal("issueOne reported a dead connection")
 		}
 		if s.Counters().RequestsIssued == before {
@@ -298,7 +400,7 @@ func TestRefusedAnswerKeepsTheRequest(t *testing.T) {
 	deferred := func() {
 		t.Helper()
 		if req := tick(); req != nil {
-			t.Fatalf("request %d sent while the device measures the full request %d", req.Nonce, last)
+			t.Fatalf("request %d sent while the device measures the full request %d", req.Nonce, w.last)
 		}
 	}
 

@@ -94,7 +94,7 @@ type serverMetrics struct {
 
 	requestsIssued    *obs.Counter
 	inflightThrottled *obs.Counter
-	issueDeferred     *obs.Counter // ticks held while the device's newest full request is unanswered
+	issueDeferred     *obs.Counter // ticks held by a full session window or an unanswered full request
 	requestsAbandoned *obs.Counter
 	responsesAccepted *obs.Counter
 	responsesFast     *obs.Counter // accepted responses that took the O(1) fast path
@@ -131,8 +131,9 @@ type serverMetrics struct {
 	// gateLat times frames that die at the serving gate, one sample per
 	// reject at its socket read's mean per-frame serve time (observed by
 	// the serve loop, see handleConnInner); attestLat times accepted
-	// attestation rounds issue-to-accept. The mass separation between the
-	// two histograms is the paper's asymmetry, live.
+	// attestation rounds from the request's creation, before its send, to
+	// the accept. The mass separation between the two histograms is the
+	// paper's asymmetry, live.
 	gateLat   *obs.Histogram
 	attestLat *obs.Histogram
 
@@ -172,8 +173,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 
 		requestsIssued:    reg.Counter("attestd_requests_issued_total", "Honest attestation requests sent."),
 		inflightThrottled: reg.Counter("attestd_inflight_throttled_total", "Issue ticks skipped at the global inflight cap."),
-		issueDeferred:     reg.Counter("attestd_issue_deferred_total", "Issue ticks that sent nothing because the fast path is on and the device's newest full-measurement request is unanswered."),
-		requestsAbandoned: reg.Counter("attestd_requests_abandoned_total", "Requests retired by timeout."),
+		issueDeferred:     reg.Counter("attestd_issue_deferred_total", "Issue ticks that sent nothing because the session already has its maximum of requests outstanding, or because the fast path is on and the session's last request, a full-measurement one, is unanswered."),
+		requestsAbandoned: reg.Counter("attestd_requests_abandoned_total", "Requests retired unanswered: at their timeout, or when the session that sent them ended."),
 		responsesAccepted: reg.Counter("attestd_responses_accepted_total", "Responses whose measurement matched the golden image."),
 		responsesFast:     reg.Counter("attestd_responses_fast_total", "Accepted responses that took the O(1) fast path (clean write monitor, no memory MAC)."),
 
@@ -198,7 +199,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		adminDrains:    reg.Counter("attestd_admin_actions_total", adminActionsHelp, obs.L("action", "drain")),
 
 		gateLat:   reg.Histogram("attestd_gate_seconds", "Serve-loop time of frames that died at the serving gate: one sample per reject, the serve time of its socket read's frames divided by their count, waits excluded.", nil),
-		attestLat: reg.Histogram("attestd_attest_seconds", "Issue-to-accept round-trip of honest attestation requests.", nil),
+		attestLat: reg.Histogram("attestd_attest_seconds", "Round-trip of honest attestation requests, from the request's creation (before its send) to its accept.", nil),
 		fsyncLat:  reg.Histogram("attestd_fsync_seconds", "Latency of journal fsyncs forced by the persistence durability policy.", nil),
 
 		transport: transport.NewMetrics(reg),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -180,5 +181,43 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	if series["attestd_devices"] != 1 {
 		t.Errorf("attestd_devices = %v, want 1", series["attestd_devices"])
+	}
+}
+
+// TestAttestLatencySampledPerAcceptedRound: four devices answer every
+// request at once, a round a millisecond each. onAttResp times each
+// accepted round from its own request's issue stamp and records the
+// sample before it counts the accept, so a reader that takes the accepted
+// count first and the histogram's count second never sees more accepted
+// rounds than samples, and once the daemon is closed a scrape shows the
+// two equal. The ci.yml race step runs it.
+func TestAttestLatencySampledPerAcceptedRound(t *testing.T) {
+	s := testServer(t, func(c *Config) {
+		c.FastPath = true
+		c.AttestEvery = time.Millisecond
+		c.Golden = make([]byte, 64) // a first, full round as quick as the rest
+	})
+	for i := 0; i < 4; i++ {
+		session(t, s, fmt.Sprintf("latency-dev-%d", i), 0, nil)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for accepted := uint64(0); accepted < 300; {
+		accepted = s.m.responsesAccepted.Load()
+		if n := s.m.attestLat.Count(); n < accepted {
+			t.Fatalf("a read saw %d accepted rounds and %d latency samples", accepted, n)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d rounds accepted", accepted)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	s.Close()
+	var buf strings.Builder
+	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := parsePromText(t, buf.String())
+	if n, accepted := series["attestd_attest_seconds_count"], series["attestd_responses_accepted_total"]; n != accepted {
+		t.Fatalf("attestd_attest_seconds_count = %v, attestd_responses_accepted_total = %v; want one sample per accepted round", n, accepted)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -97,7 +98,10 @@ type Config struct {
 	MaxDevices int
 	// MaxInflight caps outstanding requests across all provers — each
 	// outstanding request is a future golden-image MAC the daemon has
-	// committed to computing (default 256).
+	// committed to computing (default 256). A request holds its slot until
+	// it is answered, it expires (RequestTimeout) or its session ends; no
+	// session holds more than 16 (maxSessionPending), so a few mute
+	// sessions cannot take every slot.
 	MaxInflight int
 	// PerConnRatePerSec is each connection's inbound-frame budget; frames
 	// over budget are dropped and counted, the connection stays up
@@ -122,6 +126,8 @@ type Config struct {
 	AttestEvery time.Duration
 	// RequestTimeout abandons an unanswered request so its inflight slot
 	// frees and a later round can retry with a fresh request (default 10 s).
+	// The session that sent the request retires it on the first wake of
+	// its issue loop at or after the deadline.
 	RequestTimeout time.Duration
 
 	// MaxFrame, ReadTimeout and WriteTimeout parameterise the transport
@@ -274,10 +280,8 @@ func (m *serverMetrics) snapshot() Counters {
 // a reconnecting device resumes its nonce/counter stream, which is what
 // keeps replayed responses from a previous session rejectable.
 //
-// The verifier lives behind the entry's own mutex (the VerifierStore
-// guards only its map); lastStats is an atomic pointer to an immutable
-// value so the stats-heartbeat path neither takes nor lengthens that
-// lock.
+// The verifier and the stats below live behind the entry's own mutex
+// (the VerifierStore guards only its map).
 type deviceState struct {
 	id string
 	mu sync.Mutex
@@ -290,19 +294,16 @@ type deviceState struct {
 	// here after the export would collide with one the new owner issues.
 	handedOff bool
 
-	// lastStats is the latest agent-reported gate-counter snapshot;
-	// statsBase accumulates the final snapshot of every *previous* counter
-	// epoch (a reboot resets the agent's counters to zero, which onStats
-	// detects as a regression and folds into the base). Exported fleet
-	// aggregates are base + latest, which is monotonic across reboots.
-	// statsBase and statsEpochs are guarded by mu.
-	lastStats   atomic.Pointer[protocol.StatsReport]
+	// lastStats is the latest agent-reported gate-counter snapshot, valid
+	// once haveLast is set; statsBase accumulates the final snapshot of
+	// every *previous* counter epoch (a reboot resets the agent's counters
+	// to zero, which onStats detects as a regression and folds into the
+	// base). Exported fleet aggregates are base + latest, which is
+	// monotonic across reboots. All four are guarded by mu.
+	lastStats   protocol.StatsReport
+	haveLast    bool
 	statsBase   protocol.StatsReport
 	statsEpochs uint64
-
-	// issuedAtNs is the wall-clock ns timestamp of the most recent honest
-	// request issue, the start mark for the attest-latency histogram.
-	issuedAtNs atomic.Int64
 
 	// tier is the admission tier this device resolved into, set at
 	// device creation and re-resolved at each hello (the advertisement
@@ -337,12 +338,6 @@ func (d *deviceState) kickIssue() {
 	case d.kick <- struct{}{}:
 	default:
 	}
-}
-
-func (d *deviceState) withLock(fn func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fn()
 }
 
 // Server is the verifier daemon.
@@ -526,8 +521,8 @@ func (s *Server) AgentStats() protocol.StatsReport {
 		// would drop a whole epoch from the total — a non-monotone dip.
 		d.mu.Lock()
 		sum.Accumulate(&d.statsBase)
-		if st := d.lastStats.Load(); st != nil {
-			sum.Accumulate(st)
+		if d.haveLast {
+			sum.Accumulate(&d.lastStats)
 		}
 		d.mu.Unlock()
 		return true
@@ -1084,16 +1079,17 @@ func (s *Server) onAttResp(dev *deviceState, frame []byte) rejectCause {
 	// from another session naming the device, and the device's genuine
 	// answer must still be accepted. The refusal only ends the issue
 	// loop's wait on the request (see issueOne).
-	ok, err := dev.v.CheckDecodedResponse(&resp)
+	issuedAt, err := dev.v.CheckStamped(&resp)
 	mu.Unlock()
 	switch {
-	case ok:
+	case err == nil:
+		// The round is timed from its own request's issue stamp, and timed
+		// before it is counted: a reader that sees it accepted sees its
+		// sample too.
+		s.m.attestLat.Observe(monoNow() - time.Duration(issuedAt))
 		s.m.responsesAccepted.Inc()
 		if resp.Fast {
 			s.m.responsesFast.Inc()
-		}
-		if issued := dev.issuedAtNs.Load(); issued > 0 {
-			s.m.attestLat.Observe(time.Duration(time.Now().UnixNano() - issued))
 		}
 		if !resp.Fast {
 			// An accepted *full* measurement may have re-armed the fast
@@ -1147,29 +1143,25 @@ func (s *Server) onCommandResp(dev *deviceState, frame []byte) rejectCause {
 }
 
 func (s *Server) onStats(dev *deviceState, frame []byte) rejectCause {
-	// Decode into a stack value first: the retained snapshot below forces
-	// its pointee to the heap, and paying that allocation before validation
-	// would hand hostile malformed-stats floods a per-frame allocation.
-	var tmp protocol.StatsReport
-	if err := protocol.DecodeStatsReportInto(frame, &tmp); err != nil {
+	// Decode into a stack value outside the lock, then copy it in.
+	var st protocol.StatsReport
+	if err := protocol.DecodeStatsReportInto(frame, &st); err != nil {
 		// A frame that classified as stats but fails strict decode is a
 		// malformed frame, not an unknown kind — distinct cause, distinct
 		// series.
 		return causeMalformedStats
 	}
-	st := new(protocol.StatsReport)
-	*st = tmp
 	s.m.statsReports.Inc()
 	dev.mu.Lock()
-	if prev := dev.lastStats.Load(); prev != nil && st.Regressed(prev) {
+	if dev.haveLast && st.Regressed(&dev.lastStats) {
 		// The device's cumulative counters went backwards: it rebooted and
 		// restarted from zero. Fold the dying epoch's final snapshot into
 		// the high-water base so fleet aggregates stay monotonic.
-		dev.statsBase.Accumulate(prev)
+		dev.statsBase.Accumulate(&dev.lastStats)
 		dev.statsEpochs++
 		s.m.statsEpochs.Inc()
 	}
-	dev.lastStats.Store(st)
+	dev.lastStats, dev.haveLast = st, true
 	dev.mu.Unlock()
 	if s.persist != nil {
 		// Stats ride the same snapshot records as freshness state; keeping
@@ -1189,51 +1181,130 @@ func (s *Server) acquireInflight() bool {
 
 func (s *Server) releaseInflight() { s.inflight.Add(-1) }
 
-// issueOne signs and sends the next request for dev, arming the
-// abandon-on-timeout. last is the nonce of the previous request this
-// connection's loop sent: while the device is still measuring it as a
-// full request (protocol.Verifier.MeasuringFull), the tick sends nothing.
-// The wait is per connection, so a request sent on another session
-// naming the device — a mute one, or a stale one left by a reconnect —
-// holds only that session. issueOne records the nonce it sends in last.
-// It reports false when the connection is dead.
-func (s *Server) issueOne(dev *deviceState, tc *transport.Conn, last *uint64) bool {
-	if s.draining.Load() {
-		return true // draining: commit to no new verdicts
-	}
-	var (
-		raw                       []byte
-		nonce                     uint64
-		err                       error
-		gone, deferred, throttled bool
-	)
-	dev.withLock(func() {
+// maxCatchUp bounds how many overdue rounds one wake of the issue loop
+// sends; rounds older than those are skipped, so a long stall ends in at
+// most maxCatchUp requests, not one per period missed. A loop on a shared
+// 2-vCPU guest, at a 1 ms period, saw its requests reach the prover with
+// a 7.7 ms 99th-percentile gap during a slow spell, and lost 11% of its
+// rounds with a bound of 2.
+const maxCatchUp = 8
+
+// maxSessionPending bounds the requests one session may have outstanding.
+// Hellos are unauthenticated, so without it a session that never answers
+// holds a slot for every tick of a RequestTimeout, and a few such
+// sessions take every MaxInflight slot. It is twice maxCatchUp, so a
+// catch-up burst behind a full pipeline is never refused.
+const maxSessionPending = 2 * maxCatchUp
+
+// sentReq is one request a session sent and the monotonic reading
+// (monoNow) at which it expires.
+type sentReq struct {
+	nonce    uint64
+	deadline time.Duration
+}
+
+// sessionWindow is one session's issue state: the requests it sent that
+// may still be pending, oldest first, the nonce of the last one sent, and
+// the buffer requests are encoded into (Conn.Send copies it). Only the
+// session's issue loop touches it; the verifier it is checked against is
+// read under the device's lock.
+type sessionWindow struct {
+	sent  [maxSessionPending]sentReq
+	n     int
+	last  uint64
+	frame []byte
+}
+
+// sessionEnded is the reading at which every request of an ended session
+// has expired: no answer can arrive on a closed connection.
+const sessionEnded = time.Duration(math.MaxInt64)
+
+// retireLocked drops the window's requests that are no longer pending and
+// abandons those whose deadline is at or before now, keeping the rest in
+// order. It returns how many it abandoned, whose in-flight slots the
+// caller releases (see retired). The caller holds the device's lock.
+func (w *sessionWindow) retireLocked(v *protocol.Verifier, now time.Duration) (abandoned int64) {
+	kept := 0
+	for _, r := range w.sent[:w.n] {
 		switch {
-		case dev.handedOff:
-			// A peer daemon took this device's freshness state; issuing
-			// here would consume counters the new owner also issues. The
-			// false return tears the session down and the device redials
-			// its way to the owner.
-			gone = true
-		case dev.v.MeasuringFull(*last):
-			// The device is still computing the full MAC the fast path
-			// waits for. Another request now would demand one more full
-			// MAC, and on a schedule shorter than the device's measurement
-			// the newest full request would never be the one verified.
-			deferred = true
-		case !s.acquireInflight():
-			throttled = true
-		default:
-			var req *protocol.AttReq
-			req, err = dev.v.NewRequest()
-			if err == nil {
-				raw = req.Encode()
-				nonce = req.Nonce
-			} else {
-				s.releaseInflight()
+		case r.deadline <= now:
+			if v.Abandon(r.nonce) {
+				abandoned++
 			}
+		case v.IsPending(r.nonce):
+			w.sent[kept] = r
+			kept++
 		}
-	})
+	}
+	w.n = kept
+	return abandoned
+}
+
+// retired counts n requests abandoned unanswered and releases their
+// in-flight slots.
+func (s *Server) retired(n int64) {
+	if n > 0 {
+		s.m.requestsAbandoned.Add(uint64(n))
+		s.inflight.Add(-n)
+	}
+}
+
+// sweep retires the window's answered and expired requests at reading
+// now, without issuing.
+func (s *Server) sweep(dev *deviceState, w *sessionWindow, now time.Duration) {
+	dev.mu.Lock()
+	n := w.retireLocked(dev.v, now)
+	dev.mu.Unlock()
+	s.retired(n)
+}
+
+// issueOne retires the session's answered and expired requests, then
+// signs and sends the next request for dev, all under one hold of the
+// device's lock. The tick sends nothing, and counts as deferred, while
+// the session has maxSessionPending requests outstanding or while the
+// device is still measuring the last one as a full request
+// (protocol.Verifier.MeasuringFull). Both waits are per connection, so
+// requests sent on another session naming the device — a mute one, or a
+// stale one left by a reconnect — hold only that session. A draining
+// daemon only retires. issueOne reports false when the connection is
+// dead.
+func (s *Server) issueOne(dev *deviceState, tc *transport.Conn, w *sessionWindow) bool {
+	now := monoNow()
+	var gone, deferred, throttled, issued bool
+	dev.mu.Lock()
+	abandoned := w.retireLocked(dev.v, now)
+	switch {
+	case s.draining.Load():
+		// Draining: commit to no new verdicts.
+	case dev.handedOff:
+		// A peer daemon took this device's freshness state; issuing here
+		// would consume counters the new owner also issues. The false
+		// return tears the session down and the device redials its way to
+		// the owner.
+		gone = true
+	case w.n == len(w.sent) || dev.v.MeasuringFull(w.last):
+		// A full window waits for an answer or an expiry. A device still
+		// computing the full MAC the fast path waits for would only be
+		// asked for one more: on a schedule shorter than the device's
+		// measurement the newest full request would never be the one
+		// verified.
+		deferred = true
+	case !s.acquireInflight():
+		throttled = true
+	default:
+		frame, nonce, err := dev.v.Issue(w.frame[:0], int64(now))
+		if err != nil {
+			s.releaseInflight()
+			break
+		}
+		w.frame = frame
+		w.sent[w.n] = sentReq{nonce: nonce, deadline: now + s.cfg.RequestTimeout}
+		w.n++
+		w.last = nonce
+		issued = true
+	}
+	dev.mu.Unlock()
+	s.retired(abandoned)
 	switch {
 	case gone:
 		return false
@@ -1243,7 +1314,7 @@ func (s *Server) issueOne(dev *deviceState, tc *transport.Conn, last *uint64) bo
 	case throttled:
 		s.m.inflightThrottled.Inc()
 		return true // cap pressure is not a connection failure
-	case err != nil:
+	case !issued:
 		return true
 	}
 	if s.persist != nil {
@@ -1253,45 +1324,32 @@ func (s *Server) issueOne(dev *deviceState, tc *transport.Conn, last *uint64) bo
 		// policies it is a coalescing dirty mark.
 		s.persist.persistIssue(dev)
 	}
-	if err := tc.Send(raw); err != nil {
-		// The request is on no wire; abandon it immediately so the
-		// verifier state does not accumulate ghosts. A deadline expiry
-		// means the peer stopped draining its socket — the write-side
-		// slow-loris — and the false return evicts it.
+	if err := tc.Send(w.frame); err != nil {
+		// The request is on no wire: retire it at once, uncounted, as it
+		// was never issued. A deadline expiry means the peer stopped
+		// draining its socket — the write-side slow-loris — and the false
+		// return evicts it.
 		if transport.IsTimeout(err) {
 			s.m.evictWriteStall.Inc()
 		}
-		dev.withLock(func() { dev.v.Abandon(nonce) })
-		s.releaseInflight()
+		w.n--
+		dev.mu.Lock()
+		retired := dev.v.Abandon(w.last)
+		dev.mu.Unlock()
+		if retired {
+			s.releaseInflight()
+		}
 		return false
 	}
-	*last = nonce
 	s.m.requestsIssued.Inc()
-	dev.issuedAtNs.Store(time.Now().UnixNano())
 	if s.cl != nil {
 		// The counter stream just advanced: mark the device dirty so the
 		// pusher replicates a fresh snapshot to its ring successor. An
 		// enqueue only — no I/O on the issue path.
 		s.cl.Replicate(dev.id)
 	}
-	time.AfterFunc(s.cfg.RequestTimeout, func() {
-		var abandoned bool
-		dev.withLock(func() { abandoned = dev.v.Abandon(nonce) })
-		if abandoned {
-			s.m.requestsAbandoned.Inc()
-			s.releaseInflight()
-		}
-	})
 	return true
 }
-
-// maxCatchUp bounds how many overdue rounds one wake of the issue loop
-// sends; rounds older than those are skipped, so a long stall ends in at
-// most maxCatchUp requests, not one per period missed. A loop on a shared
-// 2-vCPU guest, at a 1 ms period, saw its requests reach the prover with
-// a 7.7 ms 99th-percentile gap during a slow spell, and lost 11% of its
-// rounds with a bound of 2.
-const maxCatchUp = 8
 
 // dueRounds is the issue loop's schedule: round k is due AttestEvery·k
 // (period·k) after the loop starts, and rounds before next have been
@@ -1309,28 +1367,58 @@ func dueRounds(next int64, elapsed, period time.Duration) (send int, upcoming in
 // issueLoop drives the honest attestation schedule for one connection,
 // on a fixed grid (dueRounds): a wake that comes late still sends the
 // round it is late for, so the rounds sent keep pace with the period
-// instead of losing a tick to every late wake. A failed send closes the
-// transport so the read loop unblocks and the connection is torn down as
-// one unit, not half-dead.
+// instead of losing a tick to every late wake. Its one timer wakes it at
+// the earlier of the next round and the deadline of its oldest pending
+// request, so a request expires on time even when AttestEvery exceeds
+// RequestTimeout. Once the daemon drains, the loop stops issuing and
+// keeps retiring until nothing it sent is pending, so Shutdown's wait on
+// the in-flight count ends. When the session ends, the loop retires
+// whatever it still has pending. A failed send closes the transport so
+// the read loop unblocks and the connection is torn down as one unit,
+// not half-dead.
 func (s *Server) issueLoop(dev *deviceState, tc *transport.Conn, stop <-chan struct{}) {
 	period := s.cfg.AttestEvery
-	start := time.Now()
+	start := monoNow()
 	timer := time.NewTimer(period)
 	defer timer.Stop()
+	var w sessionWindow
+	defer s.sweep(dev, &w, sessionEnded)
+	drain := s.drainCh
 	send, next := 1, int64(1) // round 0 is due now
-	var last uint64           // nonce of the last request sent
 	for {
+		if send == 0 {
+			s.sweep(dev, &w, monoNow())
+		}
 		for ; send > 0; send-- {
-			if !s.issueOne(dev, tc, &last) {
+			if !s.issueOne(dev, tc, &w) {
 				tc.Close()
 				return
 			}
 		}
+		wake := start + time.Duration(next)*period
+		if drain == nil {
+			if w.n == 0 {
+				return
+			}
+			wake = w.sent[0].deadline
+		} else if w.n > 0 {
+			wake = min(wake, w.sent[0].deadline)
+		}
+		// Stop and drain before Reset: under the pre-1.23 timer semantics
+		// go.mod selects, a timer that fired while another case won still
+		// holds its tick.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(wake - monoNow())
 		select {
 		case <-stop:
 			return
-		case <-s.drainCh:
-			return
+		case <-drain:
+			drain = nil
 		case <-dev.kick:
 			// Admin force-reattest (or evict): run an immediate round
 			// instead of waiting out the tick — issueOne either demands
@@ -1338,10 +1426,9 @@ func (s *Server) issueLoop(dev *deviceState, tc *transport.Conn, stop <-chan str
 			// tears the session down. The grid stays where it was.
 			send = 1
 		case <-timer.C:
-			send, next = dueRounds(next, time.Since(start), period)
-			// The receive above drained the channel, so Reset is safe
-			// under the pre-1.23 timer semantics go.mod selects.
-			timer.Reset(time.Until(start.Add(time.Duration(next) * period)))
+			if drain != nil {
+				send, next = dueRounds(next, monoNow()-start, period)
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,17 +65,32 @@ func TestGateCountsExactAtIdle(t *testing.T) {
 
 // TestGateCountsAdvanceUnderSustainedFlood: a writer keeps the socket
 // full, so the serve loop never waits, and attestd_frames_total still
-// advances between every pair of samples while the writer runs; once it
-// stops, the count is exact.
+// advances across each of five windows while the writer runs; once it
+// stops, the count is exact. A window ends when the writer has completed
+// more bytes than the two socket buffers and two of the serve loop's
+// reads can hold, not after a span of wall time: the serve loop must then
+// have read, served and published at least once inside it, however long a
+// stall of the whole test process makes it last.
 func TestGateCountsAdvanceUnderSustainedFlood(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.AttestEvery = time.Hour })
 	client, nc := tcpPair(t)
 	defer client.Close()
+	// Fix both buffers: unset, the kernel may grow them to megabytes.
+	// Linux keeps twice the size asked for.
+	const sockBuf = 64 << 10
+	if err := client.(*net.TCPConn).SetWriteBuffer(sockBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := nc.(*net.TCPConn).SetReadBuffer(sockBuf); err != nil {
+		t.Fatal(err)
+	}
 	serveDevice(t, s, client, nc, "flood-dev")
 	waitFor(t, 5*time.Second, "the session to open", func() bool { return s.Counters().ConnsAccepted == 1 })
 
 	const perWrite = 255 // a whole number of 1:1:1 cycles
 	wire, _ := gateMix(perWrite)
+	const maxRead = 64 << 10 // the transport's largest read
+	perWindow := int64((2*2*sockBuf+2*maxRead)/len(wire) + 1)
 	var writes atomic.Int64
 	stop := make(chan struct{})
 	done := make(chan error, 1)
@@ -93,10 +110,12 @@ func TestGateCountsAdvanceUnderSustainedFlood(t *testing.T) {
 		}
 	}()
 	for i, last := 0, s.Counters().FramesIn; i < 5; i++ {
-		time.Sleep(20 * time.Millisecond)
+		end := writes.Load() + perWindow
+		waitFor(t, 10*time.Second, fmt.Sprintf("window %d: %d writes (the serve loop stopped reading)", i, perWindow),
+			func() bool { return writes.Load() >= end })
 		now := s.Counters().FramesIn
 		if now <= last {
-			t.Fatalf("sample %d: attestd_frames_total stuck at %d while the writer keeps writing", i, now)
+			t.Fatalf("window %d: attestd_frames_total stuck at %d while the writer wrote %d times", i, now, perWindow)
 		}
 		last = now
 	}
