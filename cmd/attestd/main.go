@@ -25,10 +25,10 @@ import (
 
 	"proverattest/internal/admin"
 	"proverattest/internal/cluster"
-	"proverattest/internal/core"
 	"proverattest/internal/journal"
 	"proverattest/internal/obs"
 	"proverattest/internal/protocol"
+	"proverattest/internal/provision"
 	"proverattest/internal/server"
 )
 
@@ -92,7 +92,7 @@ func main() {
 		Freshness:         fresh,
 		Auth:              auth,
 		MasterSecret:      []byte(*master),
-		Golden:            core.GoldenRAMPattern(),
+		Golden:            provision.GoldenRAM(),
 		AttestEvery:       *attestEvery,
 		RequestTimeout:    *reqTimeout,
 		MaxInflight:       *maxInflight,
@@ -101,7 +101,7 @@ func main() {
 		MaxDevices:        *maxDevices,
 	}
 	if auth == protocol.AuthECDSA {
-		key, err := core.VerifierKeyPair()
+		key, err := provision.VerifierKeyPair()
 		if err != nil {
 			log.Fatalf("attestd: deriving ECDSA identity: %v", err)
 		}

@@ -16,6 +16,7 @@ import (
 	"proverattest/internal/energy"
 	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
+	"proverattest/internal/provision"
 	"proverattest/internal/sim"
 )
 
@@ -119,16 +120,9 @@ func NewDevice(k *sim.Kernel, cfg DeviceConfig) (*Device, error) {
 }
 
 // GoldenRAMPattern returns the deterministic RAM fill NewDevice installs,
-// without building a device. The verifier side of the networked deployment
-// (internal/server) needs the golden image but has no MCU; sharing the
-// generator keeps the daemon's expectation and the agent's device in sync.
-func GoldenRAMPattern() []byte {
-	ram := make([]byte, mcu.RAMRegion.Size)
-	for i := range ram {
-		ram[i] = byte(i*31 + 5)
-	}
-	return ram
-}
+// without building a device (provision.GoldenRAM, which the verifier
+// daemon uses directly).
+func GoldenRAMPattern() []byte { return provision.GoldenRAM() }
 
 // GoldenRAM returns the expected measured-memory contents.
 func (d *Device) GoldenRAM() []byte {
@@ -159,10 +153,8 @@ func (d *Device) ActiveEnergyJoules() float64 {
 }
 
 // VerifierKeyPair derives the deterministic ECDSA identity used when the
-// scenario authenticates requests with signatures.
-func VerifierKeyPair() (*ecc.PrivateKey, error) {
-	return ecc.GenerateKey([]byte("proverattest-verifier-identity"))
-}
+// scenario authenticates requests with signatures (provision.VerifierKeyPair).
+func VerifierKeyPair() (*ecc.PrivateKey, error) { return provision.VerifierKeyPair() }
 
 // NewDeviceAuth builds the prover-side anchor config fields for an auth
 // kind: symmetric kinds need nothing extra; ECDSA needs the verifier's

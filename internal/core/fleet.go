@@ -10,6 +10,7 @@ import (
 	"proverattest/internal/protocol"
 	"proverattest/internal/runner"
 	"proverattest/internal/sim"
+	"proverattest/internal/swarm"
 )
 
 // Fleet is a set of provers sharing one simulated timeline — the paper's
@@ -26,14 +27,18 @@ type Fleet struct {
 	// period.
 	Period sim.Duration
 	// Topology is the fleet's spanning tree: scheduling staggers members
-	// by tree position and the swarm aggregation subsystem folds along
-	// the same tree, so the two cannot disagree about the fleet's shape.
-	// Always set by NewFleet; nil in hand-assembled fleets falls back to
-	// index-ordered scheduling.
-	Topology *Topology
+	// by tree position and swarm rounds fold along the same tree, so the
+	// two cannot disagree about the fleet's shape. Always set by
+	// NewFleet; nil in hand-assembled fleets falls back to index-ordered
+	// scheduling.
+	Topology *swarm.Topology
 	// SwarmKey is the fleet-wide K_Swarm broadcast key; non-nil iff the
 	// fleet was built with FleetConfig.Fanout > 0.
 	SwarmKey []byte
+
+	// topologySeed is FleetConfig.TopologySeed: with the member count and
+	// fanout it rebuilds Topology (see NewFleetSwarm).
+	topologySeed int64
 }
 
 // FleetConfig parameterises a fleet deployment.
@@ -65,18 +70,18 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.AttestPeriod = 60 * sim.Second
 	}
 	k := sim.NewKernel()
-	f := &Fleet{K: k, Period: cfg.AttestPeriod}
-	f.Topology = NewTopology(cfg.Provers, cfg.Fanout, cfg.TopologySeed)
+	f := &Fleet{K: k, Period: cfg.AttestPeriod, topologySeed: cfg.TopologySeed}
+	f.Topology = swarm.NewTopology(cfg.Provers, cfg.Fanout, cfg.TopologySeed)
 	if cfg.Fanout > 0 {
 		swarmKey := protocol.DeriveSwarmKey(FleetMasterSecret)
 		f.SwarmKey = swarmKey[:]
 	}
-	for i := 0; i < cfg.Provers; i++ {
+	for i, id := range swarm.FleetIDs(cfg.Provers) {
 		member := cfg.Scenario
 		member.Battery = energy.CoinCellCR2032()
 		// Per-device keys: one roaming compromise must not yield a key
 		// that impersonates the verifier to the rest of the fleet.
-		deviceKey := protocol.DeriveDeviceKey(FleetMasterSecret, FleetDeviceID(i))
+		deviceKey := protocol.DeriveDeviceKey(FleetMasterSecret, id)
 		member.AttestKey = deviceKey[:]
 		if f.SwarmKey != nil {
 			member.SwarmKey = f.SwarmKey
@@ -92,13 +97,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// FleetMasterSecret seeds the fleet's per-device key derivation.
+// FleetMasterSecret seeds the fleet's per-device key derivation; member
+// i's key derives from it and swarm.FleetIDs(n)[i].
 var FleetMasterSecret = []byte("proverattest-fleet-master-secret")
-
-// FleetDeviceID is the canonical device identifier for fleet member i —
-// the string the per-device key derivation and the swarm verifier both
-// hang off, kept in one place so they cannot drift.
-func FleetDeviceID(i int) string { return fmt.Sprintf("prover-%04d", i) }
 
 // ScheduleAttestation arranges periodic genuine attestation for every
 // member over the given horizon, staggered across the fleet's configured

@@ -298,7 +298,7 @@ func RunRoamingCampaign(target RoamTarget, protected bool) (RoamingResult, error
 // at t (the deterministic stalled-clock replay window).
 func wrapAlignedReplay(t sim.Time, k uint64) sim.Time {
 	wrapCycles := uint64(1) << anchor.LSBWidth
-	return t + cost.Cycles(k*wrapCycles).Duration()
+	return t + sim.Duration(cost.Cycles(k*wrapCycles).Nanoseconds())
 }
 
 // AllRoamTargets lists every campaign in presentation order.

@@ -210,3 +210,20 @@ func TestVerifierKeyPairIsStable(t *testing.T) {
 		t.Fatal("verifier key pair is not deterministic")
 	}
 }
+
+// TestGoldenRAMPatternIsDeviceRAM: the image the verifier daemon measures
+// against (provision.GoldenRAM, linked without the simulator) is byte for
+// byte the prover's attested RAM as NewDevice installs it.
+func TestGoldenRAMPatternIsDeviceRAM(t *testing.T) {
+	golden := GoldenRAMPattern()
+	if len(golden) != int(mcu.RAMRegion.Size) {
+		t.Fatalf("golden image is %d bytes, RAM is %d", len(golden), mcu.RAMRegion.Size)
+	}
+	s, err := NewScenario(defaultScenarioConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(s.Dev.M.Space.DirectRead(mcu.RAMRegion.Start, mcu.RAMRegion.Size), golden) {
+		t.Fatal("a booted device's RAM differs from the golden image")
+	}
+}

@@ -6,10 +6,11 @@ import (
 	"proverattest/internal/anchor"
 	"proverattest/internal/protocol"
 	"proverattest/internal/sim"
+	"proverattest/internal/swarm"
 )
 
 func TestTopologyEmpty(t *testing.T) {
-	topo := NewTopology(0, 2, 0)
+	topo := swarm.NewTopology(0, 2, 0)
 	if topo.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", topo.Len())
 	}
@@ -26,13 +27,13 @@ func TestTopologyEmpty(t *testing.T) {
 		t.Fatalf("empty topology has children: %v", kids)
 	}
 	// Negative n behaves like empty rather than panicking.
-	if NewTopology(-3, 2, 0).Len() != 0 {
+	if swarm.NewTopology(-3, 2, 0).Len() != 0 {
 		t.Fatalf("negative n not treated as empty")
 	}
 }
 
 func TestTopologySingleMember(t *testing.T) {
-	topo := NewTopology(1, 4, 0)
+	topo := swarm.NewTopology(1, 4, 0)
 	root, ok := topo.Root()
 	if !ok || root != 0 {
 		t.Fatalf("Root = %d,%v want 0,true", root, ok)
@@ -50,7 +51,7 @@ func TestTopologySingleMember(t *testing.T) {
 
 func TestTopologyFanoutLargerThanN(t *testing.T) {
 	// fanout > n yields a one-level star: everyone hangs off the root.
-	topo := NewTopology(5, 16, 0)
+	topo := swarm.NewTopology(5, 16, 0)
 	root, _ := topo.Root()
 	kids := topo.Children(root, nil)
 	if len(kids) != 4 {
@@ -71,9 +72,9 @@ func TestTopologyFanoutLargerThanN(t *testing.T) {
 
 func TestTopologyFanoutDefaultsAndShape(t *testing.T) {
 	// fanout <= 0 falls back to the documented default.
-	topo := NewTopology(7, 0, 0)
-	if topo.Fanout() != DefaultFanout {
-		t.Fatalf("Fanout = %d, want %d", topo.Fanout(), DefaultFanout)
+	topo := swarm.NewTopology(7, 0, 0)
+	if topo.Fanout() != swarm.DefaultFanout {
+		t.Fatalf("Fanout = %d, want %d", topo.Fanout(), swarm.DefaultFanout)
 	}
 	// Complete binary tree over 7 members, identity order: textbook heap
 	// indexing.
@@ -103,9 +104,9 @@ func TestTopologyFanoutDefaultsAndShape(t *testing.T) {
 }
 
 func TestTopologySeededDeterministicPermutation(t *testing.T) {
-	a := NewTopology(32, 3, 12345)
-	b := NewTopology(32, 3, 12345)
-	c := NewTopology(32, 3, 54321)
+	a := swarm.NewTopology(32, 3, 12345)
+	b := swarm.NewTopology(32, 3, 12345)
+	c := swarm.NewTopology(32, 3, 54321)
 	sameAsA := true
 	differsFromC := false
 	for p := 0; p < 32; p++ {
@@ -137,7 +138,7 @@ func TestTopologySeededDeterministicPermutation(t *testing.T) {
 }
 
 func TestTopologyWithout(t *testing.T) {
-	topo := NewTopology(7, 2, 99)
+	topo := swarm.NewTopology(7, 2, 99)
 	victim := topo.MemberAt(2)
 	nt := topo.Without(victim)
 	if nt.Len() != 6 {
@@ -178,7 +179,7 @@ func TestTopologyWithout(t *testing.T) {
 // missing members in.
 func TestTopologySubtree(t *testing.T) {
 	for _, tc := range []struct{ n, fanout int }{{1, 2}, {7, 2}, {13, 3}, {64, 4}, {9, 1}, {5, 8}} {
-		topo := NewTopology(tc.n, tc.fanout, 42)
+		topo := swarm.NewTopology(tc.n, tc.fanout, 42)
 		if tc.n > 2 {
 			topo = topo.Without(topo.MemberAt(tc.n / 2))
 		}
@@ -210,7 +211,7 @@ func TestTopologySubtree(t *testing.T) {
 // every round; with a caller-provided buffer the accessor must not
 // allocate.
 func TestTopologyChildrenNoAlloc(t *testing.T) {
-	topo := NewTopology(64, 4, 7)
+	topo := swarm.NewTopology(64, 4, 7)
 	buf := make([]int, 0, 8)
 	root, _ := topo.Root()
 	if n := testing.AllocsPerRun(1000, func() {

@@ -6,8 +6,6 @@
 // simulator can account for time and energy deterministically.
 package cost
 
-import "proverattest/internal/sim"
-
 // ClockHz is the reference core clock: 24 MHz.
 const ClockHz = 24_000_000
 
@@ -27,10 +25,11 @@ func FromMillis(ms float64) Cycles {
 // Millis reports c in milliseconds at the reference clock.
 func (c Cycles) Millis() float64 { return float64(c) / CyclesPerMilli }
 
-// Duration converts cycles to simulated time. One cycle at 24 MHz is
-// 125/3 ns; the division truncates less than one nanosecond per call.
-func (c Cycles) Duration() sim.Duration {
-	return sim.Duration(uint64(c) * 125 / 3)
+// Nanoseconds converts cycles to nanoseconds at the reference clock, the
+// unit of simulated time. One cycle at 24 MHz is 125/3 ns; the division
+// truncates less than one nanosecond per call.
+func (c Cycles) Nanoseconds() uint64 {
+	return uint64(c) * 125 / 3
 }
 
 // Table 1, reproduced: performance of cryptographic primitives on Intel

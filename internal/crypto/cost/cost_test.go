@@ -99,15 +99,15 @@ func TestKeyExpansionAccounting(t *testing.T) {
 
 func TestDurationConversion(t *testing.T) {
 	// 24e6 cycles = 1 simulated second (within integer truncation).
-	d := Cycles(ClockHz).Duration()
-	if d.Seconds() < 0.999999 || d.Seconds() > 1.000001 {
-		t.Fatalf("24e6 cycles = %v, want ≈1 s", d)
+	ns := Cycles(ClockHz).Nanoseconds()
+	if ns < 999_999_000 || ns > 1_000_001_000 {
+		t.Fatalf("24e6 cycles = %d ns, want ≈1 s", ns)
 	}
-	if Cycles(0).Duration() != 0 {
+	if Cycles(0).Nanoseconds() != 0 {
 		t.Fatal("0 cycles must be 0 duration")
 	}
 	// 3 cycles = 125 ns exactly.
-	if got := Cycles(3).Duration(); got != 125 {
+	if got := Cycles(3).Nanoseconds(); got != 125 {
 		t.Fatalf("3 cycles = %d ns, want 125", got)
 	}
 }

@@ -58,12 +58,6 @@ func NewWideClock(m *MCU, width, prescaler uint) *WideClock {
 	return c
 }
 
-// Width reports the counter width in bits.
-func (c *WideClock) Width() uint { return c.width }
-
-// Prescaler reports the divider exponent.
-func (c *WideClock) Prescaler() uint { return c.prescaler }
-
 func (c *WideClock) mask() uint64 {
 	if c.width == 64 {
 		return ^uint64(0)
@@ -166,12 +160,6 @@ func NewLSBClock(m *MCU, width, prescaler uint, irqLine int) *LSBClock {
 	m.Space.MapDevice(LSBClockWindow, c)
 	return c
 }
-
-// Width reports the counter width in bits.
-func (c *LSBClock) Width() uint { return c.width }
-
-// IRQLine reports the interrupt line the wrap event asserts.
-func (c *LSBClock) IRQLine() int { return c.line }
 
 // Wraps reports how many wrap events have occurred since Start.
 func (c *LSBClock) Wraps() uint64 { return c.wraps }

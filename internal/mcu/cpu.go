@@ -189,7 +189,7 @@ func (m *MCU) start(j job) {
 	e := &Exec{m: m, task: j.task, startCycle: m.CycleNow()}
 	j.fn(e)
 	m.ActiveCycles += e.cycles
-	m.busyUntil = m.K.Now() + e.cycles.Duration()
+	m.busyUntil = m.K.Now() + sim.Duration(e.cycles.Nanoseconds())
 	m.K.At(m.busyUntil, func() { m.complete(j, e) })
 }
 

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"crypto/hmac"
+	"crypto/sha1"
 	"testing"
 )
 
@@ -144,6 +146,35 @@ func TestDecodeSwarmIntoZeroAllocs(t *testing.T) {
 		if err := DecodeSwarmRespInto(badResp, resp); err == nil {
 			t.Fatal("bad bitmap length accepted")
 		}
+	})
+}
+
+// TestSwarmFoldZeroAllocs pins a member's per-hop swarm round on the
+// primitives the anchor runs it with — gate tag check, own tag over the
+// stored memory digest, two child folds, finish — at zero allocations:
+// the fold models firmware that has no allocator at all.
+func TestSwarmFoldZeroAllocs(t *testing.T) {
+	swarmKey := DeriveSwarmKey([]byte("alloc-master"))
+	gate := NewMAC(swarmKey[:])
+	mac := NewMAC([]byte("0123456789abcdef0123"))
+	var digest, own, child, agg [sha1.Size]byte
+	SwarmMemDigestInto(mac, make([]byte, 4096), &digest)
+	for i := range child {
+		child[i] = byte(i)
+	}
+	req := &SwarmReq{Root: 0, Nonce: 1, TreeID: 7}
+	req.Sign(gate)
+	signed := make([]byte, 0, 32)
+	assertZeroAllocs(t, "swarm per-hop round", func() {
+		signed = req.AppendSignedBytes(signed[:0])
+		if !hmac.Equal(gate.Tag(signed)[:], req.Tag) {
+			t.Fatal("gate tag rejected")
+		}
+		SwarmOwnTagInto(mac, signed, 0, 1, &digest, &own)
+		SwarmFoldStart(mac, &own)
+		SwarmFoldChild(mac, &child)
+		SwarmFoldChild(mac, &child)
+		SwarmFoldFinish(mac, &agg)
 	})
 }
 

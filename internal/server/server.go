@@ -45,7 +45,7 @@ type Config struct {
 	// (protocol.DeriveDeviceKey); required.
 	MasterSecret []byte
 	// Golden is the expected measured-memory image shared by the fleet
-	// (core.GoldenRAMPattern for simulated agents); required. New keeps one
+	// (provision.GoldenRAM for simulated agents); required. New keeps one
 	// copy, which every device's verifier shares.
 	Golden []byte
 	// ECDSAKey signs requests when Auth == AuthECDSA.

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"proverattest/internal/core"
 	"proverattest/internal/protocol"
 	"proverattest/internal/swarm"
 	"proverattest/internal/transport"
@@ -131,7 +130,7 @@ func (s *Server) SwarmFindings() []swarm.Finding {
 // SwarmTopology snapshots the verifier's current spanning tree (nil when
 // the daemon is not swarm-provisioned). The returned topology is
 // immutable — quarantines replace it rather than mutating it.
-func (s *Server) SwarmTopology() *core.Topology {
+func (s *Server) SwarmTopology() *swarm.Topology {
 	sc := s.swarm
 	if sc == nil {
 		return nil

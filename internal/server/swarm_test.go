@@ -6,27 +6,31 @@ import (
 	"testing"
 	"time"
 
+	"proverattest/internal/anchor"
+	"proverattest/internal/core"
+	"proverattest/internal/mcu"
 	"proverattest/internal/protocol"
 	"proverattest/internal/swarm"
 	"proverattest/internal/transport"
 )
 
-// swarmBridge connects a swarm.Mesh (the in-process device fabric) to
-// the daemon through a single net.Pipe — the gateway connection. It
-// sends the gateway's hello, answers every SwarmReq (full rounds and
-// bisection probes alike) by running the aggregation over the mesh, and
-// ignores the daemon's 1:1 traffic on the same socket.
+// swarmBridge connects a core.FleetSwarm — real anchors on the
+// simulation kernel — to the daemon through a single net.Pipe, the
+// gateway connection. It sends the gateway's hello, answers every
+// SwarmReq (full rounds and bisection probes alike) by running the
+// aggregation over the fleet, and ignores the daemon's 1:1 traffic on
+// the same socket.
 //
-// mu guards the mesh: the bridge queries it from its own goroutine while
+// mu guards the fleet: the bridge queries it from its own goroutine while
 // the test mutates adversary state (taints, absences).
 type swarmBridge struct {
 	mu   sync.Mutex
-	mesh *swarm.Mesh
+	fs   *core.FleetSwarm
 	tc   *transport.Conn
 	done chan struct{}
 }
 
-func startSwarmBridge(t *testing.T, s *Server, mesh *swarm.Mesh, gatewayID string) *swarmBridge {
+func startSwarmBridge(t *testing.T, s *Server, fs *core.FleetSwarm, gatewayID string) *swarmBridge {
 	t.Helper()
 	clientNC, serverNC := net.Pipe()
 	go s.HandleConn(serverNC)
@@ -42,7 +46,7 @@ func startSwarmBridge(t *testing.T, s *Server, mesh *swarm.Mesh, gatewayID strin
 	if err := tc.Send(hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	b := &swarmBridge{mesh: mesh, tc: tc, done: make(chan struct{})}
+	b := &swarmBridge{fs: fs, tc: tc, done: make(chan struct{})}
 	go b.run()
 	t.Cleanup(func() {
 		tc.Close()
@@ -69,7 +73,7 @@ func (b *swarmBridge) run() {
 			continue
 		}
 		b.mu.Lock()
-		resp, err := b.mesh.Query(req)
+		resp, err := b.fs.Query(req)
 		b.mu.Unlock()
 		if err != nil || resp == nil {
 			continue // absent subtree: the daemon's timeout models the silence
@@ -80,17 +84,33 @@ func (b *swarmBridge) run() {
 	}
 }
 
-// with runs fn with the mesh lock held — the test's mutation window.
-func (b *swarmBridge) with(fn func(m *swarm.Mesh)) {
+// with runs fn with the fleet lock held — the test's mutation window.
+func (b *swarmBridge) with(fn func(fs *core.FleetSwarm)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fn(b.mesh)
+	fn(b.fs)
 }
 
+// taint rewrites the first word of member's attested RAM with the golden
+// bytes already there, from application code: the memory still matches
+// golden, but the write monitor latches, so the member re-measures under
+// a new epoch and its own tag stops matching the verifier's record.
+func taint(t *testing.T, fs *core.FleetSwarm, member int) {
+	t.Helper()
+	dev := fs.F.Members[member].Dev
+	if f := dev.M.Bus.Write(mcu.FlashRegion.Start, mcu.RAMRegion.Start, dev.GoldenRAM()[:4]); f != nil {
+		t.Fatalf("application write faulted: %v", f)
+	}
+}
+
+// testSwarmServer starts a swarm-provisioned daemon and bridges an
+// n-member simulated fleet to it; the fleet's keys derive from
+// core.FleetMasterSecret, so the daemon is provisioned with it too.
 func testSwarmServer(t *testing.T, n, fanout int, every time.Duration) (*Server, *swarmBridge, []string) {
 	t.Helper()
 	ids := swarm.FleetIDs(n)
 	s := testServer(t, func(cfg *Config) {
+		cfg.MasterSecret = core.FleetMasterSecret
 		// Quiet the 1:1 schedule: this deployment attests collectively.
 		cfg.AttestEvery = time.Hour
 		cfg.Swarm = &SwarmConfig{
@@ -100,16 +120,24 @@ func testSwarmServer(t *testing.T, n, fanout int, every time.Duration) (*Server,
 			Timeout: 2 * time.Second,
 		}
 	})
-	mesh, err := swarm.NewMesh(swarm.Params{
-		Master: testMaster,
-		IDs:    ids,
-		Golden: s.cfg.Golden,
-		Fanout: fanout,
+	fleet, err := core.NewFleet(core.FleetConfig{
+		Provers: n,
+		Fanout:  fanout,
+		Scenario: core.ScenarioConfig{
+			Freshness:  protocol.FreshCounter,
+			Auth:       protocol.AuthHMACSHA1,
+			Protection: anchor.FullProtection(),
+			Monitor:    true,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := startSwarmBridge(t, s, mesh, ids[0])
+	fs, err := core.NewFleetSwarm(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := startSwarmBridge(t, s, fs, ids[0])
 	return s, b, ids
 }
 
@@ -145,7 +173,7 @@ func TestServerSwarmRounds(t *testing.T) {
 	// write), it re-measures its still-golden memory under a new epoch,
 	// and its own tag stops matching the verifier's recorded epoch. The
 	// daemon must localize the member and resync instead of evicting it.
-	b.with(func(m *swarm.Mesh) { m.Nodes[target].Taint() })
+	b.with(func(fs *core.FleetSwarm) { taint(t, fs, target) })
 	waitFor(t, 10*time.Second, "desync localized", func() bool {
 		return hasFinding(s.SwarmFindings(), target, swarm.CauseMismatch)
 	})
@@ -163,7 +191,7 @@ func TestServerSwarmRounds(t *testing.T) {
 	// Member loss: the leaf goes dark. Its presence bit clears, the
 	// verifier localizes the absence and quarantines the member, and the
 	// surviving fleet's aggregate verifies again.
-	b.with(func(m *swarm.Mesh) { m.Absent[target] = true })
+	b.with(func(fs *core.FleetSwarm) { fs.Absent[target] = true })
 	waitFor(t, 10*time.Second, "absence localized", func() bool {
 		return hasFinding(s.SwarmFindings(), target, swarm.CauseAbsent)
 	})
@@ -191,7 +219,7 @@ func TestServerSwarmMessageReduction(t *testing.T) {
 
 	topo := s.SwarmTopology()
 	target := topo.MemberAt(topo.Len() - 1)
-	b.with(func(m *swarm.Mesh) { m.Nodes[target].Taint() })
+	b.with(func(fs *core.FleetSwarm) { taint(t, fs, target) })
 	drillEnd := time.Now().Add(duration/2 + 5*time.Second)
 	waitFor(t, time.Until(drillEnd), "the desynced member localized", func() bool {
 		return hasFinding(s.SwarmFindings(), target, swarm.CauseMismatch)

@@ -1,25 +1,24 @@
-// Package swarm implements collective (swarm) attestation over the
-// fleet's spanning tree, in the SEDA family: provers aggregate keyed
-// evidence up a tree so the verifier checks one aggregate frame instead
-// of N responses — O(log n) round latency and O(1) verifier-side
-// messages in the clean case, with bisection down the tree to localize
-// the offending subtree on mismatch.
+// Package swarm is the verifier's half of collective (swarm)
+// attestation over a fleet's spanning tree, in the SEDA family: provers
+// aggregate keyed evidence up a tree so the verifier checks one aggregate
+// frame instead of N responses — O(log n) round latency and O(1)
+// verifier-side messages in the clean case, with bisection down the tree
+// to localize the offending subtree on mismatch.
 //
 // The pieces:
 //
-//   - Node: a host-level prover (a Mesh member) holding the
-//     RATA-style measurement memo (epoch + stored digest, re-measured
-//     only when dirty) and the per-hop aggregate fold. The simulated-MCU
-//     counterpart lives in internal/anchor (HandleSwarmBegin /
-//     SwarmFoldChild / SwarmRespond).
+//   - Topology: the deterministic spanning tree (a complete k-ary tree
+//     over a seeded permutation of the members) that fixes both the
+//     provers' fold order and the verifier's expected aggregate.
 //   - Verifier: recomputes the expected aggregate from per-device
 //     verified state in one zero-allocation pass, and drives bisection.
-//   - Mesh: an in-process tree of Nodes with message counting — the
-//     device fabric behind the server's swarm tests and the crossover
-//     sweep.
-//   - FleetSwarm: the discrete-event driver over core.Fleet, running
-//     rounds against real anchors on the sim kernel (hop latency,
-//     absent-member timeouts, the adversary matrix).
+//   - Params and FleetIDs: the deployment's key material, member IDs and
+//     tree shape, shared by both sides.
+//
+// The prover's half is internal/anchor (HandleSwarmBegin /
+// SwarmFoldChild / SwarmRespond); core.FleetSwarm runs those anchors on
+// the simulation kernel as a fleet. This package imports neither, so the
+// verifier daemon links no simulator.
 //
 // Tag derivation is protocol's swarm-mem-v1 / swarm-own-v1 /
 // swarm-fold-v1 chain; see internal/protocol/swarm.go and PROTOCOL.md
@@ -45,7 +44,7 @@ type Params struct {
 	// Golden is the attested-memory image every member boots (uniform
 	// fleet, as in the paper's deployment model).
 	Golden []byte
-	// Fanout is the tree arity (<=0 selects core.DefaultFanout).
+	// Fanout is the tree arity (<=0 selects DefaultFanout).
 	Fanout int
 	// Seed permutes members across tree positions (0 = identity).
 	Seed int64
@@ -64,8 +63,9 @@ func (p *Params) validate() error {
 	return nil
 }
 
-// FleetIDs returns the canonical ID list for an n-member fleet
-// (core.FleetDeviceID ordering).
+// FleetIDs returns the canonical device IDs of an n-member fleet,
+// "prover-0000" onwards: ids[i] is member i's ID, the string its
+// per-device key derives from on both sides.
 func FleetIDs(n int) []string {
 	ids := make([]string, n)
 	for i := range ids {

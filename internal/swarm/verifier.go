@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"proverattest/internal/core"
 	"proverattest/internal/protocol"
 )
 
@@ -18,7 +17,7 @@ import (
 // one MAC per member and one under K_Swarm; it is not safe for concurrent
 // use.
 type Verifier struct {
-	topo  *core.Topology
+	topo  *Topology
 	fleet int // fixed member-index space; survives Without rebuilds
 
 	gate   *protocol.MAC     // keyed K_Swarm: request tags
@@ -67,7 +66,7 @@ func NewVerifier(p Params) (*Verifier, error) {
 	n := len(p.IDs)
 	sk := protocol.DeriveSwarmKey(p.Master)
 	v := &Verifier{
-		topo:   core.NewTopology(n, p.Fanout, p.Seed),
+		topo:   NewTopology(n, p.Fanout, p.Seed),
 		fleet:  n,
 		gate:   protocol.NewMAC(sk[:]),
 		macs:   make([]*protocol.MAC, n),
@@ -90,7 +89,7 @@ func NewVerifier(p Params) (*Verifier, error) {
 }
 
 // Topology exposes the verifier's current tree (read-only use).
-func (v *Verifier) Topology() *core.Topology { return v.topo }
+func (v *Verifier) Topology() *Topology { return v.topo }
 
 // TreeID is the topology-generation identifier stamped into requests.
 func (v *Verifier) TreeID() uint64 { return v.treeID }
@@ -113,7 +112,7 @@ func (v *Verifier) ExpectedEpoch(member int) uint32 {
 }
 
 // Remove drops a lost member: the tree is rebuilt with survivors in
-// relative order (core.Topology.Without) and subsequent rounds expect the
+// relative order (Topology.Without) and subsequent rounds expect the
 // member's presence bit clear. The member-index space — and therefore the
 // wire bitmap width — is unchanged.
 func (v *Verifier) Remove(member int) {
