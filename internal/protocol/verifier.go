@@ -5,13 +5,15 @@ import (
 	"crypto/sha1"
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Verifier is the trusted party Vrf. It issues authenticated, fresh
 // attestation requests and validates measurement responses against a
 // golden image of the prover's measured memory. A Verifier holds a MAC
 // under K_Attest and, through its Authenticator, may hold another: it is
-// not safe for concurrent use.
+// not safe for concurrent use, with one exception, Unissued, which may be
+// called at any time from any goroutine.
 type Verifier struct {
 	freshness FreshnessKind
 	auth      Authenticator
@@ -23,8 +25,11 @@ type Verifier struct {
 	// Authenticator is an interface, so a stack buffer would escape.
 	signed [reqHeaderSize]byte
 
-	counter     uint64
-	nonceSeq    uint64
+	counter  uint64
+	nonceSeq uint64
+	// mark publishes nonceSeq to Unissued. Every move of the stream
+	// stores it before the request or command can be encoded or sent.
+	mark        atomic.Uint64
 	pending     map[uint64]pendingAtt  // outstanding requests by nonce
 	pendingCmds map[uint64]*CommandReq // outstanding service commands
 
@@ -60,9 +65,12 @@ type Verifier struct {
 	answered, lost bool
 
 	// Stats for scenario reporting.
-	Issued       uint64
-	Accepted     uint64
-	Rejected     uint64
+	Issued   uint64
+	Accepted uint64
+	Rejected uint64
+	// Unsolicited counts only the refusals the verifier's own checks make:
+	// a caller that refuses a response on Unissued first does not count
+	// it here.
 	Unsolicited  uint64
 	Expired      uint64 // requests abandoned after a response timeout
 	FastAccepted uint64 // accepted via the O(1) fast path (subset of Accepted)
@@ -184,6 +192,7 @@ func (v *Verifier) Issue(dst []byte, issuedAt int64) ([]byte, uint64, error) {
 // stamped issuedAt.
 func (v *Verifier) issue(req *AttReq, issuedAt int64) error {
 	v.nonceSeq++
+	v.mark.Store(v.nonceSeq)
 	*req = AttReq{
 		Freshness: v.freshness,
 		Auth:      v.auth.Kind(),
@@ -260,6 +269,17 @@ func (v *Verifier) CheckDecodedResponse(resp *AttResp) (bool, error) {
 	_, err := v.CheckStamped(resp)
 	return err == nil, err
 }
+
+// Unissued reports whether nonce lies above the newest nonce of the
+// verifier's stream. No outstanding request or command carries such a
+// nonce (ImportState, which may move the stream back, also clears them),
+// so a response naming it answers nothing: CheckStamped would refuse it
+// with ErrUnsolicited. Unlike every other method, Unissued may run
+// concurrently with the others, without the caller's lock. The stream's
+// position is published before a request can be encoded or sent, so a
+// genuine answer, read only after its request went out, never meets an
+// older position. A false result decides nothing.
+func (v *Verifier) Unissued(nonce uint64) bool { return nonce > v.mark.Load() }
 
 // CheckStamped validates an already-decoded response as
 // CheckDecodedResponse does, reporting acceptance as a nil error. An
@@ -377,6 +397,7 @@ func (v *Verifier) MeasuringFull(nonce uint64) bool {
 // "around" the attestation counter.
 func (v *Verifier) NewCommand(kind CommandKind, body []byte) (*CommandReq, error) {
 	v.nonceSeq++
+	v.mark.Store(v.nonceSeq)
 	req := &CommandReq{
 		Kind:      kind,
 		Freshness: v.freshness,
@@ -555,6 +576,7 @@ func (v *Verifier) ExportState() VerifierState {
 func (v *Verifier) ImportState(st VerifierState) {
 	v.counter = st.Counter
 	v.nonceSeq = st.NonceSeq
+	v.mark.Store(v.nonceSeq)
 	v.fastEpoch = st.FastEpoch
 	v.fastDigest = st.FastDigest
 	v.haveFast = st.HaveFast && v.allowFast

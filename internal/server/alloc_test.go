@@ -109,16 +109,81 @@ func TestHandleFrameDaemonRateZeroAllocs(t *testing.T) {
 	}
 }
 
+// unsolicitedResp is a well-formed response that answers no outstanding
+// nonce, and whether its refusal takes the device lock.
+type unsolicitedResp struct {
+	name   string
+	frame  []byte
+	locked bool
+}
+
+// unsolicitedResps issues dev one request and abandons it, then returns
+// the two unsolicited responses the gate refuses on different paths: one
+// naming a nonce the device was never issued, refused right after decode
+// without the device lock, and one naming the abandoned nonce, refused by
+// the pending-map miss under the lock.
+func unsolicitedResps(tb testing.TB, dev *deviceState) []unsolicitedResp {
+	tb.Helper()
+	req, err := dev.v.NewRequest()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dev.v.Abandon(req.Nonce)
+	return []unsolicitedResp{
+		{"never_issued", (&protocol.AttResp{Nonce: 0xFEED}).Encode(), false},
+		{"abandoned", (&protocol.AttResp{Nonce: req.Nonce, Counter: req.Counter}).Encode(), true},
+	}
+}
+
 func TestHandleFrameUnsolicitedRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	// A well-formed response answering no outstanding nonce: decode-into,
-	// shard-locked map miss, static-error reject.
-	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
-	var g gateTally
-	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
-	s.publish(&g)
-	if s.Counters().ResponsesUnsolicited == 0 {
-		t.Fatal("unsolicited responses not counted")
+	// then a refusal with a static error, with or without the map miss
+	// under the device lock.
+	for _, u := range unsolicitedResps(t, dev) {
+		t.Run(u.name, func(t *testing.T) {
+			before := s.Counters().ResponsesUnsolicited
+			checked := dev.v.Unsolicited
+			var g gateTally
+			allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(&g, dev, nil, 0, u.frame) })
+			s.publish(&g)
+			if s.Counters().ResponsesUnsolicited == before {
+				t.Fatal("unsolicited responses not counted")
+			}
+			// The verifier counts only the refusals its own lookup makes.
+			if locked := dev.v.Unsolicited != checked; locked != u.locked {
+				t.Fatalf("refusal took the locked lookup: %v, want %v", locked, u.locked)
+			}
+		})
+	}
+}
+
+// TestUnissuedRefusedWithoutDeviceLock: a response naming a nonce the
+// device was never issued is refused while another goroutine holds the
+// device's lock. A refusal that waited for the lock would return only
+// once the lock is released, after the deadline.
+func TestUnissuedRefusedWithoutDeviceLock(t *testing.T) {
+	s, dev := newAllocRig(t)
+	if _, err := dev.v.NewRequest(); err != nil {
+		t.Fatal(err)
+	}
+	frame := (&protocol.AttResp{Nonce: 2}).Encode()
+	done := make(chan rejectCause, 1)
+	dev.mu.Lock()
+	go func() {
+		var g gateTally
+		done <- s.handleFrame(&g, dev, nil, 0, frame)
+	}()
+	select {
+	case cause := <-done:
+		dev.mu.Unlock()
+		if cause != causeUnsolicited {
+			t.Fatalf("cause %d, want causeUnsolicited (%d)", cause, causeUnsolicited)
+		}
+	case <-time.After(5 * time.Second):
+		dev.mu.Unlock()
+		<-done
+		t.Fatal("the refusal of a never-issued nonce waited on the device lock")
 	}
 }
 
@@ -163,8 +228,8 @@ func TestHandleFrameMalformedStatsDistinctCause(t *testing.T) {
 }
 
 // TestHandleFrameFastAcceptZeroAllocs pins the quiescent-fleet steady
-// state: an accepted O(1) fast response — decode-into, shard-locked
-// memoized compare, retire — must not allocate, since a clean fleet
+// state: an accepted O(1) fast response — decode-into, memoized compare
+// and retire under the device lock — must not allocate, since a clean fleet
 // emits exactly these at the attestation rate forever. Requests are
 // pre-issued and responses pre-encoded so the measured region is the
 // daemon's per-frame path alone.
@@ -231,15 +296,19 @@ const respTruncated = 20
 
 // BenchmarkHandleFrameUnsolicited times the daemon's gate on its most
 // attacker-reachable reject: a well-formed response answering no
-// outstanding nonce — decode-into, shard-locked map miss, static error.
+// outstanding nonce — decode-into, then a static error. never_issued is
+// the blind flooder's frame, refused without the device lock; abandoned
+// names a nonce the device was issued, refused by the map miss under it.
 func BenchmarkHandleFrameUnsolicited(b *testing.B) {
 	s, dev := newAllocRig(b)
-	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
-	var g gateTally
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.handleFrame(&g, dev, nil, 0, frame)
+	for _, u := range unsolicitedResps(b, dev) {
+		b.Run(u.name, func(b *testing.B) {
+			var g gateTally
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.handleFrame(&g, dev, nil, 0, u.frame)
+			}
+		})
 	}
 }
 

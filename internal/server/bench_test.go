@@ -171,10 +171,12 @@ func BenchmarkSocketGateReject(b *testing.B) {
 // BenchmarkServeGateFlood times the daemon's live gate with the transport
 // under it: the 1:1:1 unsolicited/malformed/unknown mix, written 256
 // frames at a time over loopback TCP into one connection's serve loop,
-// which reads, admits, classifies, rejects and times every frame. In the
-// tier_limited case the device is matched into a 400 frames/s bulk tier,
-// so every frame past the tier's burst dies at the tier bucket before
-// decode. One op is one frame; ns/frame and allocs/frame cover the serve
+// which reads, admits, classifies, rejects and times every frame.
+// gateMix's unsolicited frames name nonce 0xFEED, which the device was
+// never issued, so they are refused right after decode without the device
+// lock, as a blind flooder's are. In the tier_limited case the device is
+// matched into a 400 frames/s bulk tier, so every frame past the tier's
+// burst dies at the tier bucket before decode. One op is one frame; ns/frame and allocs/frame cover the serve
 // loop's goroutine and everything else the process ran meanwhile, the
 // writer included. reads/frame and bytes/read count the serve loop's
 // socket reads: each read costs a syscall, a deadline arm, two clock

@@ -507,3 +507,82 @@ func TestDueRoundsKeepsTheGrid(t *testing.T) {
 		t.Fatalf("first wake after the stall: sent %d, next %d; want 1, 32", n, next)
 	}
 }
+
+// TestBatchedAnswersNeverUnsolicited: four devices on a 1 ms grid, each
+// served by a FastResponder that takes every request waiting in its
+// socket at once and answers them all in one write, so each serve loop
+// reads several genuine answers per socket read while its issue loop
+// keeps issuing. The serve loop refuses a nonce above every nonce its
+// device was issued without the device lock; a genuine answer never meets
+// an older mark than its own request's, so no round is refused, whether
+// as unsolicited, as a fast mismatch or otherwise.
+func TestBatchedAnswersNeverUnsolicited(t *testing.T) {
+	const devices = 4
+	s := testServer(t, func(c *Config) {
+		c.FastPath = true
+		c.AttestEvery = time.Millisecond
+		c.Golden = make([]byte, 64) // a first, full round as quick as the rest
+	})
+	var widest atomic.Int64 // the most answers one write carried
+	for i := 0; i < devices; i++ {
+		client, nc := tcpPair(t)
+		t.Cleanup(func() { client.Close() })
+		go s.HandleConn(nc)
+		tc := transport.NewConn(client, transport.Options{})
+		id := fmt.Sprintf("batch-dev-%d", i)
+		hello := &protocol.Hello{Freshness: protocol.FreshCounter, Auth: protocol.AuthHMACSHA1, DeviceID: id}
+		if err := tc.Send(hello.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		key := protocol.DeriveDeviceKey(testMaster, id)
+		fr := protocol.NewFastResponder(key[:], s.cfg.Golden)
+		go func() {
+			var (
+				req      protocol.AttReq
+				resp     protocol.AttResp
+				out, enc []byte
+			)
+			for {
+				batch, err := tc.RecvBatch()
+				if err != nil {
+					return
+				}
+				out = out[:0]
+				var n int64
+				for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+					if protocol.DecodeAttReqInto(frame, &req) != nil {
+						continue
+					}
+					fr.RespondInto(&req, &resp)
+					enc = resp.AppendEncode(enc[:0])
+					out = transport.AppendFrame(out, enc)
+					n++
+				}
+				if _, err := client.Write(out); err != nil {
+					return
+				}
+				if n > widest.Load() {
+					widest.Store(n)
+				}
+				time.Sleep(3 * time.Millisecond) // let the next requests queue up
+			}
+		}()
+	}
+
+	waitFor(t, 15*time.Second, "2,000 accepted rounds or a refusal", func() bool {
+		c := s.Counters()
+		return c.ResponsesAccepted >= 2000 || c.ResponsesUnsolicited+c.ResponsesRejected != 0
+	})
+	c := s.Counters()
+	if c.ResponsesUnsolicited != 0 || c.ResponsesFastRejected != 0 || c.ResponsesRejected != 0 {
+		t.Fatalf("genuine answers refused: %d unsolicited, %d fast mismatches, %d rejected in all",
+			c.ResponsesUnsolicited, c.ResponsesFastRejected, c.ResponsesRejected)
+	}
+	if c.ResponsesFast == 0 {
+		t.Fatal("no round took the fast path")
+	}
+	if w := widest.Load(); w < 2 {
+		t.Fatalf("each write carried at most %d answer, want several rounds answered at once", w)
+	}
+	t.Logf("%d rounds accepted, %d fast; up to %d answers per write", c.ResponsesAccepted, c.ResponsesFast, widest.Load())
+}

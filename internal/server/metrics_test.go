@@ -6,12 +6,17 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"proverattest/internal/agent"
+	"proverattest/internal/journal"
 	"proverattest/internal/obs"
+	"proverattest/internal/protocol"
 )
 
 // parsePromText parses a Prometheus text exposition into a map keyed by
@@ -39,6 +44,24 @@ func parsePromText(t *testing.T, body string) map[string]float64 {
 		series[key] = val
 	}
 	return series
+}
+
+// scrape serves reg's exposition over HTTP, as attestd -metrics does, and
+// returns the body of one GET /metrics.
+func scrape(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	srv := httptest.NewServer(obs.Handler(reg))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestMetricsSmoke is the `make metrics-smoke` acceptance check: an
@@ -73,18 +96,8 @@ func TestMetricsSmoke(t *testing.T) {
 		return c.ResponsesAccepted >= 1 && c.StatsReports >= 1
 	})
 
-	scrape := httptest.NewServer(obs.Handler(s.Metrics()))
-	defer scrape.Close()
-	resp, err := scrape.Client().Get(scrape.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := parsePromText(t, string(raw))
+	raw := scrape(t, s.Metrics())
+	series := parsePromText(t, raw)
 
 	expected := []string{
 		// Daemon counters.
@@ -181,6 +194,82 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	if series["attestd_devices"] != 1 {
 		t.Errorf("attestd_devices = %v, want 1", series["attestd_devices"])
+	}
+}
+
+// TestMetricsSmokeFamiliesDocumented keeps PROTOCOL.md's series inventory
+// from drifting. It scrapes a daemon built over a PersistentStore, so the
+// journal family registers too, and an agent, and fails for every family
+// a "# TYPE" line declares that the "Observability" section names neither
+// literally nor under a `prefix_*` family it lists. Its name puts it in
+// `make metrics-smoke`.
+func TestMetricsSmokeFamiliesDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Observability")
+	if !ok {
+		t.Fatal(`PROTOCOL.md has no "Observability" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	named := make(map[string]bool)
+	var prefixes []string
+	for _, span := range regexp.MustCompile("`[^`]+`").FindAllString(section, -1) {
+		for _, name := range regexp.MustCompile(`[a-z][a-z0-9_]*\*?`).FindAllString(span, -1) {
+			if prefix, ok := strings.CutSuffix(name, "*"); ok {
+				prefixes = append(prefixes, prefix)
+			} else {
+				named[name] = true
+			}
+		}
+	}
+	documented := func(family string) bool {
+		for _, prefix := range prefixes {
+			if strings.HasPrefix(family, prefix) {
+				return true
+			}
+		}
+		return named[family]
+	}
+
+	daemon := obs.New()
+	testServer(t, func(c *Config) {
+		c.Metrics = daemon
+		c.Store = openPersistent(t, t.TempDir(), PersistOptions{Fsync: journal.FsyncNone})
+	})
+	prover := obs.New()
+	if _, err := agent.New(agent.Config{
+		DeviceID:     "metrics-doc-dev",
+		Freshness:    protocol.FreshCounter,
+		Auth:         protocol.AuthHMACSHA1,
+		MasterSecret: testMaster,
+		Metrics:      prover,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, exp := range []struct {
+		binary string
+		reg    *obs.Registry
+		must   string // a family the scrape must declare
+	}{
+		{"attestd", daemon, "attestd_journal_appends_total"},
+		{"attest-agent", prover, "agent_frames_total"},
+	} {
+		families := make(map[string]bool)
+		for _, line := range strings.Split(scrape(t, exp.reg), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+				families[f[2]] = true
+			}
+		}
+		if !families[exp.must] {
+			t.Fatalf("%s's scrape declares no %s family", exp.binary, exp.must)
+		}
+		for family := range families {
+			if !documented(family) {
+				t.Errorf("%s exposes %s, which PROTOCOL.md's Observability section does not name", exp.binary, family)
+			}
+		}
 	}
 }
 

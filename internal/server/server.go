@@ -281,7 +281,8 @@ func (m *serverMetrics) snapshot() Counters {
 // keeps replayed responses from a previous session rejectable.
 //
 // The verifier and the stats below live behind the entry's own mutex
-// (the VerifierStore guards only its map).
+// (the VerifierStore guards only its map), except v.Unissued, which
+// onAttResp calls without it.
 type deviceState struct {
 	id string
 	mu sync.Mutex
@@ -1064,13 +1065,18 @@ func (s *Server) admit(g *gateTally, dev *deviceState, bucket *tokenBucket, now 
 }
 
 func (s *Server) onAttResp(dev *deviceState, frame []byte) rejectCause {
-	// Decode outside the shard lock (into a stack value, no allocation);
-	// the lock then covers only the pending-map lookup, the memoized
-	// measurement compare and the retire. No closure: this path runs once
-	// per inbound response frame, hostile or not.
+	// Decode outside the device's lock (into a stack value, no
+	// allocation). A nonce above every nonce the device was issued, what a
+	// blind flooder sends, is refused without the lock; otherwise the lock
+	// covers only the pending-map lookup, the memoized measurement compare
+	// and the retire. No closure: this path runs once per inbound response
+	// frame, hostile or not.
 	var resp protocol.AttResp
 	if err := protocol.DecodeAttRespInto(frame, &resp); err != nil {
 		return causeMalformedResponse
+	}
+	if dev.v.Unissued(resp.Nonce) {
+		return causeUnsolicited
 	}
 	mu := &dev.mu
 	mu.Lock()

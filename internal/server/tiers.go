@@ -17,8 +17,9 @@ import (
 // keep serving honest traffic while an adversary floods — and at fleet
 // scale the flood and the honest traffic belong to *different device
 // classes*. A tier gives each class its own admission budget (a shared
-// tier-wide token bucket plus per-connection buckets, both refilled on the
-// serve loop's per-frame reading; see bucket.go), so a flooding class
+// tier-wide token bucket plus per-connection buckets, both refilled at the
+// serve loop's one clock reading per socket read, at which it admits
+// every frame of the read; see bucket.go), so a flooding class
 // exhausts its own tokens and dies at the cheap gate without touching
 // another class's budget. The tier-isolation drill (TestGoldTierIsolation,
 // built under the drill tag and run in its own CI step) is the proof.
