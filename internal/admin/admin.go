@@ -70,7 +70,8 @@ type TierStatus struct {
 
 // TierOverride retunes a tier at runtime. nil fields keep the current
 // setting; an explicit 0 rate lifts that cap. The tier-wide bucket is
-// rebuilt immediately; per-connection changes reach connections opened
+// rebuilt immediately, and the tier's connections admit against it from
+// their next socket read; per-connection changes reach connections opened
 // after the override.
 type TierOverride struct {
 	RatePerSec        *float64 `json:"rate_per_sec,omitempty"`

@@ -310,27 +310,29 @@ const (
 	FrameSwarmResp
 )
 
-// ClassifyFrame inspects a frame's magic bytes.
+// ClassifyFrame inspects a frame's magic bytes. Every frame's magic
+// starts with 'A' (0x41) and is followed by the version byte, so both are
+// checked once and the kind is the second magic byte alone.
 func ClassifyFrame(buf []byte) FrameKind {
-	if len(buf) < 3 || buf[2] != reqVersion {
+	if len(buf) < 3 || buf[0] != reqMagic0 || buf[2] != reqVersion {
 		return FrameUnknown
 	}
-	switch {
-	case buf[0] == reqMagic0 && buf[1] == reqMagic1:
+	switch buf[1] {
+	case reqMagic1:
 		return FrameAttReq
-	case buf[0] == respMagic0 && buf[1] == respMagic1:
+	case respMagic1:
 		return FrameAttResp
-	case buf[0] == reqMagic0 && buf[1] == cmdReqMagic1:
+	case cmdReqMagic1:
 		return FrameCommandReq
-	case buf[0] == respMagic0 && buf[1] == cmdRespMagic1:
+	case cmdRespMagic1:
 		return FrameCommandResp
-	case buf[0] == reqMagic0 && buf[1] == helloMagic1:
+	case helloMagic1:
 		return FrameHello
-	case buf[0] == reqMagic0 && buf[1] == statsMagic1:
+	case statsMagic1:
 		return FrameStats
-	case buf[0] == reqMagic0 && buf[1] == swarmReqMagic1:
+	case swarmReqMagic1:
 		return FrameSwarmReq
-	case buf[0] == respMagic0 && buf[1] == swarmRespMagic1:
+	case swarmRespMagic1:
 		return FrameSwarmResp
 	}
 	return FrameUnknown

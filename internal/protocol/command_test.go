@@ -3,6 +3,10 @@ package protocol
 import (
 	"bytes"
 	"crypto/hmac"
+	"os"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +154,95 @@ func TestClassifyFrame(t *testing.T) {
 	for i, tc := range cases {
 		if got := ClassifyFrame(tc.buf); got != tc.want {
 			t.Errorf("case %d: ClassifyFrame = %v, want %v", i, got, tc.want)
+		}
+	}
+}
+
+// TestClassifyFrameExhaustive classifies every first-three-byte triple,
+// and every frame shorter than three bytes, against the magics PROTOCOL.md
+// documents: each frame section's heading names its magic, and the
+// cluster control frames' table lists magics the attestation gate must
+// see as unknown. The daemon's gate, the agent and the simulator's
+// scenarios all route frames by ClassifyFrame.
+func TestClassifyFrameExhaustive(t *testing.T) {
+	doc, err := os.ReadFile("../../PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]FrameKind{
+		"Attestation request":  FrameAttReq,
+		"Attestation response": FrameAttResp,
+		"Service command":      FrameCommandReq,
+		"Service response":     FrameCommandResp,
+		"Session hello":        FrameHello,
+		"Gate-stats report":    FrameStats,
+		"Swarm request":        FrameSwarmReq,
+		"Swarm response":       FrameSwarmResp,
+	}
+	heading := regexp.MustCompile("^#+ (.+?)(?: \\(`\\w+`\\))? — magic `0x([0-9A-F]{2}) 0x([0-9A-F]{2})`")
+	tableMagic := regexp.MustCompile("`0x([0-9A-F]{2}) 0x([0-9A-F]{2})`")
+	hexByte := func(s string) byte {
+		b, err := strconv.ParseUint(s, 16, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return byte(b)
+	}
+	var want [256][256]FrameKind
+	found := make(map[FrameKind]bool)
+	unknown := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := heading.FindStringSubmatch(line); m != nil {
+			kind, ok := sections[m[1]]
+			if !ok {
+				t.Fatalf("PROTOCOL.md documents the magic of %q, which this test does not map to a frame kind", m[1])
+			}
+			if found[kind] {
+				t.Fatalf("PROTOCOL.md documents frame kind %v twice", kind)
+			}
+			found[kind] = true
+			want[hexByte(m[2])][hexByte(m[3])] = kind
+			continue
+		}
+		if strings.HasPrefix(line, "|") {
+			for _, m := range tableMagic.FindAllStringSubmatch(line, -1) {
+				if want[hexByte(m[1])][hexByte(m[2])] != FrameUnknown {
+					t.Fatalf("the cluster magic %s %s is also a frame section's", m[1], m[2])
+				}
+				unknown++
+			}
+		}
+	}
+	if len(found) != len(sections) || unknown == 0 {
+		t.Fatalf("PROTOCOL.md documents %d of %d frame magics and %d cluster magics", len(found), len(sections), unknown)
+	}
+
+	for n := 0; n < 3; n++ {
+		buf := make([]byte, n)
+		for v := 0; v < 1<<(8*n); v++ {
+			for i := range buf {
+				buf[i] = byte(v >> (8 * i))
+			}
+			if got := ClassifyFrame(buf); got != FrameUnknown {
+				t.Fatalf("ClassifyFrame(%x) = %v, want FrameUnknown", buf, got)
+			}
+		}
+	}
+	buf := make([]byte, 3)
+	for b0 := 0; b0 < 256; b0++ {
+		for b1 := 0; b1 < 256; b1++ {
+			kind := want[b0][b1]
+			buf[0], buf[1] = byte(b0), byte(b1)
+			for b2 := 0; b2 < 256; b2++ {
+				buf[2] = byte(b2)
+				wantKind := FrameUnknown
+				if b2 == reqVersion {
+					wantKind = kind
+				}
+				if got := ClassifyFrame(buf); got != wantKind {
+					t.Fatalf("ClassifyFrame(%x) = %v, want %v", buf, got, wantKind)
+				}
+			}
 		}
 	}
 }

@@ -29,7 +29,18 @@ func FuzzDecodeAttReq(f *testing.F) {
 func FuzzDecodeAttResp(f *testing.F) {
 	f.Add((&AttResp{Nonce: 3, Counter: 4}).Encode())
 	f.Add([]byte{0x41, 0x50})
+	reserved := (&AttResp{Fast: true, Nonce: 5}).Encode()
+	reserved[3] |= 0x80
+	f.Add(reserved)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The nonce-only read the daemon's gate refuses by accepts exactly
+		// what the full decode accepts, with the same nonce.
+		var into AttResp
+		err := DecodeAttRespInto(data, &into)
+		nonce, nonceErr := AttRespNonce(data)
+		if nonceErr != err || err == nil && nonce != into.Nonce {
+			t.Fatalf("AttRespNonce = %#x, %v; DecodeAttRespInto: nonce %#x, %v", nonce, nonceErr, into.Nonce, err)
+		}
 		resp, err := DecodeAttResp(data)
 		if err != nil {
 			return

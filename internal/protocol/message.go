@@ -322,29 +322,41 @@ var (
 	errRespReserved = errors.New("protocol: nonzero reserved bytes in response header")
 )
 
-// DecodeAttRespInto parses a response into r without allocating: the
-// measurement is copied into r's array, so r aliases nothing in buf once
-// the call returns. Errors are static (no per-frame detail) — use
-// DecodeAttResp when diagnostics matter more than allocations.
-func DecodeAttRespInto(buf []byte, r *AttResp) error {
+// AttRespNonce makes a response's strict checks (length, magic, version,
+// reserved flag bits) and reads only its nonce: it accepts exactly the
+// frames DecodeAttRespInto accepts, with the same nonce. A gate that
+// refuses a response by its nonce alone decodes nothing else first.
+func AttRespNonce(buf []byte) (uint64, error) {
 	if len(buf) != respSize {
-		return errRespLength
+		return 0, errRespLength
 	}
 	if buf[0] != respMagic0 || buf[1] != respMagic1 {
-		return errRespMagic
+		return 0, errRespMagic
 	}
 	if buf[2] != reqVersion {
-		return errRespVersion
+		return 0, errRespVersion
 	}
 	// Undefined flag bits must be zero. The epoch word is a protocol
 	// field, not a covert channel: it only ever matters when the fast MAC
 	// (which binds it) verifies, or as an advisory seed on full responses.
 	if buf[3]&^respFlagFast != 0 {
-		return errRespReserved
+		return 0, errRespReserved
+	}
+	return binary.LittleEndian.Uint64(buf[8:]), nil
+}
+
+// DecodeAttRespInto parses a response into r without allocating: the
+// measurement is copied into r's array, so r aliases nothing in buf once
+// the call returns. Errors are static (no per-frame detail) — use
+// DecodeAttResp when diagnostics matter more than allocations.
+func DecodeAttRespInto(buf []byte, r *AttResp) error {
+	nonce, err := AttRespNonce(buf)
+	if err != nil {
+		return err
 	}
 	r.Fast = buf[3]&respFlagFast != 0
 	r.Epoch = binary.LittleEndian.Uint32(buf[4:])
-	r.Nonce = binary.LittleEndian.Uint64(buf[8:])
+	r.Nonce = nonce
 	r.Counter = binary.LittleEndian.Uint64(buf[16:])
 	copy(r.Measurement[:], buf[24:])
 	return nil

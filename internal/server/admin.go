@@ -150,9 +150,10 @@ func tierStatus(t *tier) admin.TierStatus {
 }
 
 // AdminSetTier applies a runtime limit override to one tier. The
-// tier-wide bucket is rebuilt immediately; per-connection budgets reach
-// connections opened after the override (established sessions keep the
-// bucket they were admitted with).
+// tier-wide bucket is rebuilt immediately, and each connection in the
+// tier admits against it from its next socket read; per-connection
+// budgets reach connections opened after the override (established
+// sessions keep the bucket they were admitted with).
 func (s *Server) AdminSetTier(name string, o admin.TierOverride) (admin.TierStatus, error) {
 	t := s.tiers.byName(name)
 	if t == nil {

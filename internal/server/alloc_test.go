@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"testing"
@@ -16,7 +17,10 @@ import (
 // and unsolicited-response frames — must die at the serving gate without
 // GC pressure: zero allocations for the first two, at most one object per
 // frame anywhere on the reject path (acceptance bar; the measured paths
-// below are zero today).
+// below are zero today). Each pin serves its frame through the serving
+// entry point, serveRead, as a socket read of one frame: the receive,
+// the admission chain resolved at the read's reading, classify, dispatch,
+// the gate sample and the publish.
 
 // newAllocRig builds a daemon and one device entry resolved into its tier
 // policy; mutate, when given, adjusts the config first.
@@ -43,6 +47,51 @@ func newAllocRig(t testing.TB, mutate ...func(*Config)) (*Server, *deviceState) 
 	return s, dev
 }
 
+// readConn is a net.Conn whose reads come from r.
+type readConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c readConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// readRig serves frames to one device as socket reads, as the serve loop
+// does: one receive returns a read's frames as a batch, and serveRead
+// serves it with the rig's connection bucket and tally, which records
+// attestd_gate_seconds samples. Once a read has grown the rig's wire
+// buffer, a read of no more bytes allocates nothing.
+type readRig struct {
+	s    *Server
+	dev  *deviceState
+	conn *tokenBucket
+	g    gateTally
+	wire []byte
+	r    bytes.Reader
+	tc   *transport.Conn
+}
+
+func newReadRig(s *Server, dev *deviceState, conn *tokenBucket) *readRig {
+	rig := &readRig{s: s, dev: dev, conn: conn, g: gateTally{lat: s.m.gateLat.Tally()}}
+	rig.tc = transport.NewConn(readConn{r: &rig.r}, transport.Options{})
+	return rig
+}
+
+// serve serves frames as one socket read. They must fit the connection's
+// first read (4 KiB).
+func (rig *readRig) serve(tb testing.TB, frames ...[]byte) {
+	tb.Helper()
+	rig.wire = rig.wire[:0]
+	for _, f := range frames {
+		rig.wire = transport.AppendFrame(rig.wire, f)
+	}
+	rig.r.Reset(rig.wire)
+	batch, err := rig.tc.RecvBatch()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rig.s.serveRead(&rig.g, rig.dev, rig.conn, batch)
+}
+
 func allocsPerFrame(t *testing.T, name string, limit float64, fn func()) {
 	t.Helper()
 	fn() // warm up
@@ -54,9 +103,8 @@ func allocsPerFrame(t *testing.T, name string, limit float64, fn func()) {
 func TestHandleFrameUnknownZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	var g gateTally
-	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "unknown frame", 0, func() { rig.serve(t, frame) })
 	if s.Counters().UnknownFrames == 0 {
 		t.Fatal("unknown frames not counted")
 	}
@@ -69,9 +117,8 @@ func TestHandleFrameRateLimitedZeroAllocs(t *testing.T) {
 	bucket := newTokenBucket(1e-9, 1, 0)
 	bucket.tokens = 0
 	frame := []byte{0xDE, 0xAD}
-	var g gateTally
-	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(&g, dev, bucket, time.Second, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, bucket)
+	allocsPerFrame(t, "rate-limited frame", 0, func() { rig.serve(t, frame) })
 	if s.Counters().RateLimited == 0 {
 		t.Fatal("rate-limited frames not counted")
 	}
@@ -85,9 +132,8 @@ func TestHandleFrameTierLimitedZeroAllocs(t *testing.T) {
 		c.Tiers = &TierPolicy{Tiers: []TierSpec{{Name: "bulk", RatePerSec: 1e-9, Burst: 1}}}
 	})
 	frame := []byte{0xDE, 0xAD}
-	var g gateTally
-	allocsPerFrame(t, "tier-limited frame", 0, func() { s.handleFrame(&g, dev, nil, time.Second, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "tier-limited frame", 0, func() { rig.serve(t, frame) })
 	if c := s.Counters(); c.TierLimited == 0 || c.TierLimited+c.UnknownFrames != c.FramesIn {
 		t.Fatalf("tier-limited frames not counted: %v", c)
 	}
@@ -101,9 +147,8 @@ func TestHandleFrameDaemonRateZeroAllocs(t *testing.T) {
 		c.MaxRatePerSec, c.MaxRateBurst = 1e-9, 1
 	})
 	frame := []byte{0xDE, 0xAD}
-	var g gateTally
-	allocsPerFrame(t, "daemon-rate frame", 0, func() { s.handleFrame(&g, dev, nil, time.Second, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "daemon-rate frame", 0, func() { rig.serve(t, frame) })
 	if c := s.Counters(); c.DaemonRateLimited == 0 || c.DaemonRateLimited+c.UnknownFrames != c.FramesIn {
 		t.Fatalf("daemon-rate frames not counted: %v", c)
 	}
@@ -119,9 +164,10 @@ type unsolicitedResp struct {
 
 // unsolicitedResps issues dev one request and abandons it, then returns
 // the two unsolicited responses the gate refuses on different paths: one
-// naming a nonce the device was never issued, refused right after decode
-// without the device lock, and one naming the abandoned nonce, refused by
-// the pending-map miss under the lock.
+// naming a nonce the device was never issued, refused by its nonce after
+// the strict checks, before the rest is decoded and without the device
+// lock, and one naming the abandoned nonce, decoded and refused by the
+// pending-map miss under the lock.
 func unsolicitedResps(tb testing.TB, dev *deviceState) []unsolicitedResp {
 	tb.Helper()
 	req, err := dev.v.NewRequest()
@@ -137,16 +183,15 @@ func unsolicitedResps(tb testing.TB, dev *deviceState) []unsolicitedResp {
 
 func TestHandleFrameUnsolicitedRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
-	// A well-formed response answering no outstanding nonce: decode-into,
-	// then a refusal with a static error, with or without the map miss
-	// under the device lock.
+	// A well-formed response answering no outstanding nonce: the strict
+	// checks and the nonce, then a refusal with a static error, either at
+	// once or after a decode-into and the map miss under the device lock.
 	for _, u := range unsolicitedResps(t, dev) {
 		t.Run(u.name, func(t *testing.T) {
 			before := s.Counters().ResponsesUnsolicited
 			checked := dev.v.Unsolicited
-			var g gateTally
-			allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(&g, dev, nil, 0, u.frame) })
-			s.publish(&g)
+			rig := newReadRig(s, dev, nil)
+			allocsPerFrame(t, "unsolicited response", 0, func() { rig.serve(t, u.frame) })
 			if s.Counters().ResponsesUnsolicited == before {
 				t.Fatal("unsolicited responses not counted")
 			}
@@ -170,10 +215,7 @@ func TestUnissuedRefusedWithoutDeviceLock(t *testing.T) {
 	frame := (&protocol.AttResp{Nonce: 2}).Encode()
 	done := make(chan rejectCause, 1)
 	dev.mu.Lock()
-	go func() {
-		var g gateTally
-		done <- s.handleFrame(&g, dev, nil, 0, frame)
-	}()
+	go func() { done <- s.handleFrame(dev, frame) }()
 	select {
 	case cause := <-done:
 		dev.mu.Unlock()
@@ -191,9 +233,8 @@ func TestHandleFrameMalformedRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	// Classifies as a response (magic + version) but fails strict framing.
 	frame := (&protocol.AttResp{Nonce: 1}).Encode()[:respTruncated]
-	var g gateTally
-	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "malformed response", 0, func() { rig.serve(t, frame) })
 	c := s.Counters()
 	if c.ResponsesMalformed == 0 || c.MalformedFrames == 0 {
 		t.Fatal("malformed responses not counted on their distinct cause series")
@@ -215,9 +256,8 @@ func TestHandleFrameMalformedStatsDistinctCause(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	frame = frame[:len(frame)-1] // classifies as stats, fails length check
-	var g gateTally
-	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "malformed stats", 0, func() { rig.serve(t, frame) })
 	c := s.Counters()
 	if c.MalformedFrames == 0 {
 		t.Fatal("malformed stats frames not counted as malformed")
@@ -258,8 +298,7 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 	}
 	var resp protocol.AttResp
 	fr.RespondInto(req, &resp)
-	var g gateTally
-	s.handleFrame(&g, dev, nil, 0, resp.Encode())
+	s.handleFrame(dev, resp.Encode())
 	if c := s.Counters(); c.ResponsesAccepted != 1 || c.ResponsesFast != 0 {
 		t.Fatalf("arming round: %+v", c)
 	}
@@ -281,9 +320,9 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 		}
 		frames = append(frames, r.Encode())
 	}
+	rig := newReadRig(s, dev, nil)
 	i := 0
-	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(&g, dev, nil, 0, frames[i]); i++ })
-	s.publish(&g)
+	allocsPerFrame(t, "fast accept", 0, func() { rig.serve(t, frames[i]); i++ })
 	c := s.Counters()
 	if c.ResponsesFast != uint64(i) || c.ResponsesRejected != 0 {
 		t.Fatalf("after %d fast frames: %+v", i, c)
@@ -303,10 +342,9 @@ func BenchmarkHandleFrameUnsolicited(b *testing.B) {
 	s, dev := newAllocRig(b)
 	for _, u := range unsolicitedResps(b, dev) {
 		b.Run(u.name, func(b *testing.B) {
-			var g gateTally
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.handleFrame(&g, dev, nil, 0, u.frame)
+				s.handleFrame(dev, u.frame)
 			}
 		})
 	}
@@ -317,8 +355,8 @@ func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	// The agent sends a stats frame after every reply: the report is
 	// decoded on the stack and copied into the device entry.
-	var g gateTally
-	allocsPerFrame(t, "stats frame", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "stats frame", 0, func() { rig.serve(t, frame) })
 	if !dev.haveLast || dev.lastStats.Received != 1 {
 		t.Fatal("stats report not retained")
 	}
@@ -354,7 +392,6 @@ func TestIssueOneAllocs(t *testing.T) {
 			}
 			var (
 				w sessionWindow
-				g gateTally
 				i int
 			)
 			round := func() {
@@ -362,7 +399,7 @@ func TestIssueOneAllocs(t *testing.T) {
 					t.Fatalf("round %d: issueOne sent nothing (%d pending in the window)", i, w.n)
 				}
 				if answered {
-					if cause := s.handleFrame(&g, dev, nil, 0, answers[i]); cause != causeNone {
+					if cause := s.handleFrame(dev, answers[i]); cause != causeNone {
 						t.Fatalf("round %d: answer refused, cause %d", i, cause)
 					}
 				}
@@ -373,7 +410,6 @@ func TestIssueOneAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(1000, round); n > 1 {
 				t.Errorf("issueOne: %v allocs/request, want <= 1", n)
 			}
-			s.publish(&g)
 			c := s.Counters()
 			if c.RequestsIssued != rounds || s.Inflight() != 0 {
 				t.Fatalf("RequestsIssued = %d, Inflight = %d; want %d and 0", c.RequestsIssued, s.Inflight(), rounds)
@@ -393,9 +429,8 @@ func TestIssueOneAllocs(t *testing.T) {
 func TestHandleFrameUnsolicitedCommandRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.CommandResp{Kind: protocol.CmdClockSync, Nonce: 0xFEED, Tag: make([]byte, 20)}).Encode()
-	var g gateTally
-	allocsPerFrame(t, "unsolicited command response", 0, func() { s.handleFrame(&g, dev, nil, 0, frame) })
-	s.publish(&g)
+	rig := newReadRig(s, dev, nil)
+	allocsPerFrame(t, "unsolicited command response", 0, func() { rig.serve(t, frame) })
 	if s.Counters().ResponsesUnsolicited == 0 {
 		t.Fatal("unsolicited command responses not counted")
 	}
@@ -418,10 +453,9 @@ func TestHandleFrameFullAcceptZeroAllocs(t *testing.T) {
 		resp := protocol.AttResp{Nonce: req.Nonce, Counter: req.Counter, Measurement: protocol.Measure(key[:], req, golden)}
 		frames = append(frames, resp.Encode())
 	}
-	var g gateTally
+	rig := newReadRig(s, dev, nil)
 	i := 0
-	allocsPerFrame(t, "full accept", 0, func() { s.handleFrame(&g, dev, nil, 0, frames[i]); i++ })
-	s.publish(&g)
+	allocsPerFrame(t, "full accept", 0, func() { rig.serve(t, frames[i]); i++ })
 	if c := s.Counters(); c.ResponsesAccepted != uint64(i) || c.ResponsesRejected != 0 {
 		t.Fatalf("after %d full frames: %+v", i, c)
 	}

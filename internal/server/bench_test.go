@@ -173,33 +173,50 @@ func BenchmarkSocketGateReject(b *testing.B) {
 // frames at a time over loopback TCP into one connection's serve loop,
 // which reads, admits, classifies, rejects and times every frame.
 // gateMix's unsolicited frames name nonce 0xFEED, which the device was
-// never issued, so they are refused right after decode without the device
-// lock, as a blind flooder's are. In the tier_limited case the device is
-// matched into a 400 frames/s bulk tier, so every frame past the tier's
-// burst dies at the tier bucket before decode. One op is one frame; ns/frame and allocs/frame cover the serve
-// loop's goroutine and everything else the process ran meanwhile, the
-// writer included. reads/frame and bytes/read count the serve loop's
-// socket reads: each read costs a syscall, a deadline arm, two clock
-// readings and one publish of the per-frame series.
+// never issued, so they are refused by their nonce after the strict
+// checks, without the device lock, as a blind flooder's are. mix has no
+// admission cap, so its reads ask no bucket. Each other case caps one
+// stage of the admission chain at 400 frames/s with a burst of 400, so
+// every frame past the burst dies there before classify: conn_limited at
+// the connection's bucket, tier_limited at the bucket of a bulk tier the
+// device is matched into, daemon_rate at the daemon's. One op is one
+// frame; ns/frame and allocs/frame cover the serve loop's goroutine and
+// everything else the process ran meanwhile, the writer included.
+// reads/frame and bytes/read count the serve loop's socket reads: each
+// read costs a syscall, a deadline arm, two clock readings, the chain's
+// resolution and one publish of the per-frame series.
 func BenchmarkServeGateFlood(b *testing.B) {
 	b.Run("mix", func(b *testing.B) { benchServeGateFlood(b, nil) })
+	b.Run("conn_limited", func(b *testing.B) {
+		benchServeGateFlood(b, func(c *Config) { c.PerConnRatePerSec, c.PerConnBurst = 400, 400 })
+	})
 	b.Run("tier_limited", func(b *testing.B) {
-		benchServeGateFlood(b, &TierPolicy{Tiers: []TierSpec{
-			{Name: "bulk", Match: []string{"gate-flood-"}, RatePerSec: 400, Burst: 400},
-		}})
+		benchServeGateFlood(b, func(c *Config) {
+			c.Tiers = &TierPolicy{Tiers: []TierSpec{
+				{Name: "bulk", Match: []string{"gate-flood-"}, RatePerSec: 400, Burst: 400},
+			}}
+		})
+	})
+	b.Run("daemon_rate", func(b *testing.B) {
+		benchServeGateFlood(b, func(c *Config) { c.MaxRatePerSec, c.MaxRateBurst = 400, 400 })
 	})
 }
 
-func benchServeGateFlood(b *testing.B, tiers *TierPolicy) {
-	s, err := New(Config{
+// benchServeGateFlood floods one session of a daemon built from the
+// default config, which limit adjusts first when it is non-nil.
+func benchServeGateFlood(b *testing.B, limit func(*Config)) {
+	cfg := Config{
 		Freshness:      protocol.FreshCounter,
 		Auth:           protocol.AuthHMACSHA1,
 		MasterSecret:   testMaster,
 		Golden:         core.GoldenRAMPattern(),
 		AttestEvery:    time.Hour,
 		RequestTimeout: time.Hour,
-		Tiers:          tiers,
-	})
+	}
+	if limit != nil {
+		limit(&cfg)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

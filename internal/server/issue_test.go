@@ -383,9 +383,11 @@ func TestRefusedAnswerKeepsTheRequest(t *testing.T) {
 	}
 	deliver := func(g *gateTally, resp *protocol.AttResp, want rejectCause) {
 		t.Helper()
-		if got := s.handleFrame(g, dev, nil, 0, resp.Encode()); got != want {
+		got := s.handleFrame(dev, resp.Encode())
+		if got != want {
 			t.Fatalf("answer to request %d: cause %d, want %d", resp.Nonce, got, want)
 		}
+		g.frames[got]++
 	}
 	forge := func(resp *protocol.AttResp, want rejectCause) {
 		t.Helper()

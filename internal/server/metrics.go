@@ -6,10 +6,11 @@ import (
 	"proverattest/internal/transport"
 )
 
-// rejectCause is why the serving gate refused a frame. handleFrame and
-// the handlers it dispatches to return one; causeNone is a frame the gate
-// admitted and its handler accepted. The causes index the reject series
-// (serverMetrics.rejects) and a serve loop's tally (gateTally).
+// rejectCause is why the serving gate refused a frame. The admission
+// chain, handleFrame and the handlers it dispatches to return one;
+// causeNone is a frame the gate admitted and its handler accepted. The
+// causes index the reject series (serverMetrics.rejects) and a serve
+// loop's tally (gateTally).
 type rejectCause uint8
 
 const (
@@ -130,7 +131,7 @@ type serverMetrics struct {
 
 	// gateLat times frames that die at the serving gate, one sample per
 	// reject at its socket read's mean per-frame serve time (observed by
-	// the serve loop, see handleConnInner); attestLat times accepted
+	// the serve loop, see serveRead); attestLat times accepted
 	// attestation rounds from the request's creation, before its send, to
 	// the accept. The mass separation between the two histograms is the
 	// paper's asymmetry, live.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -62,6 +63,22 @@ func scrape(t *testing.T, reg *obs.Registry) string {
 		t.Fatal(err)
 	}
 	return string(raw)
+}
+
+// expectSeries scrapes s's registry and fails on every series in want
+// whose value differs.
+func expectSeries(t *testing.T, s *Server, want map[string]float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := parsePromText(t, buf.String())
+	for key, v := range want {
+		if got := series[key]; got != v {
+			t.Errorf("%s = %v, want %v", key, got, v)
+		}
+	}
 }
 
 // TestMetricsSmoke is the `make metrics-smoke` acceptance check: an

@@ -189,13 +189,13 @@ func TestGateRejectZeroAllocsOverPersistentStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rig := newReadRig(s, dev, nil)
 			unknown := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-			var g gateTally
 			allocsPerFrame(t, "unknown frame over persistent store", 0,
-				func() { s.handleFrame(&g, dev, nil, 0, unknown) })
+				func() { rig.serve(t, unknown) })
 			unsolicited := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
 			allocsPerFrame(t, "unsolicited response over persistent store", 0,
-				func() { s.handleFrame(&g, dev, nil, 0, unsolicited) })
+				func() { rig.serve(t, unsolicited) })
 		})
 	}
 }
@@ -221,7 +221,6 @@ func TestAgentStatsMonotoneUnderChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var g gateTally
 		var v uint64
 		for {
 			select {
@@ -232,7 +231,7 @@ func TestAgentStatsMonotoneUnderChurn(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				v += 10
 				frame := (&protocol.StatsReport{Received: v, Measurements: v}).Encode()
-				s.handleFrame(&g, dev, nil, 0, frame)
+				s.handleFrame(dev, frame)
 			}
 			v = 1 // reboot: cumulative counters restart near zero
 		}
@@ -600,8 +599,7 @@ func TestExactRestartWithholdsStaleFastRecord(t *testing.T) {
 		s1.persist.persistIssue(dev)
 		fr.RespondInto(req, &resps[i])
 	}
-	var g gateTally
-	if cause := s1.handleFrame(&g, dev, nil, 0, resps[0].Encode()); cause != causeNone {
+	if cause := s1.handleFrame(dev, resps[0].Encode()); cause != causeNone {
 		t.Fatalf("older answer refused: cause %d", cause)
 	}
 	if err := s1.persist.Close(); err != nil { // the newer answer is lost
@@ -623,11 +621,10 @@ func TestExactRestartWithholdsStaleFastRecord(t *testing.T) {
 		}
 		var resp protocol.AttResp
 		fr.RespondInto(req, &resp)
-		if cause := s2.handleFrame(&g, dev2, nil, 0, resp.Encode()); cause != causeNone {
+		if cause := s2.handleFrame(dev2, resp.Encode()); cause != causeNone {
 			t.Fatalf("round %d: honest answer refused: cause %d", round, cause)
 		}
 	}
-	s2.publish(&g)
 	if c := s2.Counters(); c.ResponsesRejected != 0 || c.ResponsesFast != 1 {
 		t.Fatalf("after restart: %+v", c)
 	}

@@ -309,7 +309,8 @@ type deviceState struct {
 	// tier is the admission tier this device resolved into, set at
 	// device creation and re-resolved at each hello (the advertisement
 	// can only matter when no server-side rule claims the ID). An atomic
-	// pointer so handleFrame reads it without touching mu.
+	// pointer so serveRead reads it, once per socket read, without
+	// touching mu.
 	tier atomic.Pointer[tier]
 
 	// kick asks the device's issue loop for an immediate round instead
@@ -925,24 +926,16 @@ func (s *Server) handleConnInner(nc net.Conn) {
 	// Re-resolve the tier with the hello's advertised class (server-side
 	// ID rules still win inside resolve) and draw this connection's
 	// budget from it — tier placement happens once per session, never on
-	// the per-frame path.
+	// the serving path, which reads the placement once per socket read.
 	dev.setTier(s.tiers.resolve(hello.DeviceID, hello.Tier))
 
-	// The gate clock: two monotonic readings per socket read. Each receive
-	// returns every whole frame the read buffer holds as one batch; the
-	// first reading is taken when the batch returns, after any wait (the
-	// peer's time, not the gate's), and every frame of the batch is
-	// admitted at it. The second is taken after the batch's last frame.
-	// Each reject in the batch is one attestd_gate_seconds sample of the
-	// batch's serve time divided by its frame count, so the samples number
-	// the rejects exactly and sum to at most the time spent serving them.
 	g := gateTally{lat: s.m.gateLat.Tally()}
 	defer s.publish(&g)
 	bucket := dev.tier.Load().connBucketAt(monoNow())
 	for {
 		// The frames alias the connection's read buffer: every handler
 		// below either decodes into value types or copies what it keeps, so
-		// nothing aliases the buffer past handleFrame's return.
+		// nothing aliases the buffer past serveRead's return.
 		batch, err := tc.RecvBatch()
 		if err != nil {
 			// A deadline expiry here means the peer completed no frame for
@@ -953,17 +946,78 @@ func (s *Server) handleConnInner(nc net.Conn) {
 			}
 			return
 		}
-		start := monoNow()
-		var frames, rejects uint64
-		for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
-			if s.handleFrame(&g, dev, bucket, start, frame) != causeNone {
-				rejects++
-			}
-			frames++
-		}
-		g.lat.ObserveN((monoNow()-start)/time.Duration(frames), rejects)
-		s.publish(&g)
+		s.serveRead(&g, dev, bucket, batch)
 	}
+}
+
+// serveRead serves the frames of one socket read and publishes g; conn is
+// the connection's bucket (nil = uncapped). The gate clock is two
+// monotonic readings per read. The first, taken after any wait for the
+// read (the peer's time, not the gate's), resolves the admission chain
+// (chainAt) and admits every frame of the read, so a tier retune or move
+// reaches the connection at its next read, and an uncapped chain costs a
+// frame nothing. The second is taken after the last frame. Each reject is
+// one attestd_gate_seconds sample of the read's serve time divided by its
+// frame count, so the samples number the rejects exactly and sum to at
+// most the time spent serving them.
+func (s *Server) serveRead(g *gateTally, dev *deviceState, conn *tokenBucket, batch transport.Batch) {
+	start := monoNow()
+	c := s.chainAt(g, dev, conn, start)
+	capped := c.conn != nil || c.tier != nil || c.daemon != nil
+	var frames, rejects uint64
+	for frame, ok := batch.Next(); ok; frame, ok = batch.Next() {
+		cause := causeNone
+		if capped {
+			cause = c.refusal()
+		}
+		if cause == causeNone {
+			cause = s.handleFrame(dev, frame)
+		}
+		g.frames[cause]++
+		if cause != causeNone {
+			rejects++
+		}
+		frames++
+	}
+	g.lat.ObserveN((monoNow()-start)/time.Duration(frames), rejects)
+	s.publish(g)
+}
+
+// chain is a read's admission chain: the connection's bucket, then the
+// device tier's, then the daemon's, each nil when uncapped. The tier's
+// follows the connection's so that one hostile connection dies at its own
+// bucket before it drains the budget its whole class shares.
+type chain struct {
+	now          time.Duration
+	conn         *tokenBucket
+	tier, daemon *lockedBucket
+}
+
+// chainAt resolves a read's chain at reading now. When dev has moved tiers
+// since g's last read, it publishes g first: a tally holds one tier's
+// admissions at a time.
+func (s *Server) chainAt(g *gateTally, dev *deviceState, conn *tokenBucket, now time.Duration) chain {
+	tr := dev.tier.Load()
+	if tr != g.tier {
+		s.publish(g)
+		g.tier = tr
+	}
+	return chain{now: now, conn: conn, tier: tr.bucket.Load(), daemon: s.dBucket}
+}
+
+// refusal asks the capped buckets, in order, for one frame's token and
+// returns the first refusal's cause, or causeNone.
+func (c *chain) refusal() rejectCause {
+	if c.conn != nil && !c.conn.allow(c.now) {
+		return causeRateLimited
+	}
+	if c.tier != nil && !c.tier.allow(c.now) {
+		return causeTierLimited
+	}
+	if c.daemon != nil && !c.daemon.allow(c.now) {
+		return causeDaemonRate
+	}
+	return causeNone
 }
 
 // gateTally is what one serve loop has counted since it last published:
@@ -1009,74 +1063,45 @@ func (s *Server) publish(g *gateTally) {
 	s.m.framesIn.Add(frames)
 }
 
-// handleFrame is the per-frame serving path: admission buckets,
-// classify, dispatch. now is the serve loop's monotonic reading for the
-// socket read that brought the frame (see monoNow); the per-connection,
-// tier-wide and daemon-wide buckets all refill on it, so admission reads
-// no clock. It tallies the frame in g and returns why it died at the
-// gate — every reject cause, from the admission buckets to a mismatched
-// measurement — or causeNone for an accepted frame, so the serve loop can
-// count the samples it adds to attestd_gate_seconds. It must stay
-// allocation-free for frames that die at the gate (rate- or tier-limited,
-// unknown, unsolicited): a hostile peer chooses how often those branches
-// run. frame is only valid for the duration of the call.
-func (s *Server) handleFrame(g *gateTally, dev *deviceState, bucket *tokenBucket, now time.Duration, frame []byte) rejectCause {
-	cause := s.admit(g, dev, bucket, now)
-	if cause == causeNone {
-		switch protocol.ClassifyFrame(frame) {
-		case protocol.FrameAttResp:
-			cause = s.onAttResp(dev, frame)
-		case protocol.FrameCommandResp:
-			cause = s.onCommandResp(dev, frame)
-		case protocol.FrameStats:
-			cause = s.onStats(dev, frame)
-		case protocol.FrameSwarmResp:
-			cause = s.onSwarmResp(dev, frame)
-		default:
-			cause = causeUnknownKind
-		}
+// handleFrame classifies and dispatches one frame that passed admission
+// (see serveRead) and returns why it died at the gate — a malformed or
+// unknown frame, an unsolicited response, a mismatched measurement — or
+// causeNone for an accepted frame. It must stay allocation-free for
+// frames that die at the gate (unknown, malformed, unsolicited): a hostile
+// peer chooses how often those branches run. frame is only valid for the
+// duration of the call.
+func (s *Server) handleFrame(dev *deviceState, frame []byte) rejectCause {
+	switch protocol.ClassifyFrame(frame) {
+	case protocol.FrameAttResp:
+		return s.onAttResp(dev, frame)
+	case protocol.FrameCommandResp:
+		return s.onCommandResp(dev, frame)
+	case protocol.FrameStats:
+		return s.onStats(dev, frame)
+	case protocol.FrameSwarmResp:
+		return s.onSwarmResp(dev, frame)
 	}
-	g.frames[cause]++
-	return cause
-}
-
-// admit runs the admission chain at reading now: the connection's
-// bucket, then the device tier's, then the daemon's. Tier-wide budget
-// after the per-connection one: a single hostile connection dies at its
-// own bucket before it can drain the budget its whole class shares.
-func (s *Server) admit(g *gateTally, dev *deviceState, bucket *tokenBucket, now time.Duration) rejectCause {
-	if bucket != nil && !bucket.allow(now) {
-		return causeRateLimited
-	}
-	tr := dev.tier.Load()
-	if tr != g.tier {
-		// The device moved tiers (or this is the first frame): the tally
-		// holds one tier's admissions at a time.
-		s.publish(g)
-		g.tier = tr
-	}
-	if tr != nil && !tr.allow(now) {
-		return causeTierLimited
-	}
-	if s.dBucket != nil && !s.dBucket.allow(now) {
-		return causeDaemonRate
-	}
-	return causeNone
+	return causeUnknownKind
 }
 
 func (s *Server) onAttResp(dev *deviceState, frame []byte) rejectCause {
-	// Decode outside the device's lock (into a stack value, no
-	// allocation). A nonce above every nonce the device was issued, what a
-	// blind flooder sends, is refused without the lock; otherwise the lock
-	// covers only the pending-map lookup, the memoized measurement compare
-	// and the retire. No closure: this path runs once per inbound response
-	// frame, hostile or not.
+	// The strict checks first, then the nonce alone: a nonce above every
+	// nonce the device was issued, what a blind flooder sends, is refused
+	// before any other field is decoded and without the device's lock.
+	// Otherwise the response is decoded outside the lock (into a stack
+	// value, no allocation), and the lock covers only the pending-map
+	// lookup, the memoized measurement compare and the retire. No closure:
+	// this path runs once per inbound response frame, hostile or not.
+	nonce, err := protocol.AttRespNonce(frame)
+	if err != nil {
+		return causeMalformedResponse
+	}
+	if dev.v.Unissued(nonce) {
+		return causeUnsolicited
+	}
 	var resp protocol.AttResp
 	if err := protocol.DecodeAttRespInto(frame, &resp); err != nil {
 		return causeMalformedResponse
-	}
-	if dev.v.Unissued(resp.Nonce) {
-		return causeUnsolicited
 	}
 	mu := &dev.mu
 	mu.Lock()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -41,13 +40,8 @@ func TestGateCountsExactAtIdle(t *testing.T) {
 		t.Fatalf("counters: frames=%d unsolicited=%d malformed=%d unknown=%d, want %d and %d each",
 			c.FramesIn, c.ResponsesUnsolicited, c.ResponsesMalformed, c.UnknownFrames, k, k/3)
 	}
-	var buf bytes.Buffer
-	if err := s.Metrics().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	series := parsePromText(t, buf.String())
 	hello := &protocol.Hello{Freshness: protocol.FreshCounter, Auth: protocol.AuthHMACSHA1, DeviceID: "idle-dev"}
-	for key, want := range map[string]float64{
+	expectSeries(t, s, map[string]float64{
 		"attestd_frames_total":                              k,
 		`attestd_rejects_total{cause="unsolicited"}`:        k / 3,
 		`attestd_rejects_total{cause="malformed_response"}`: k / 3,
@@ -56,11 +50,7 @@ func TestGateCountsExactAtIdle(t *testing.T) {
 		"attestd_gate_seconds_count":                        k,
 		`transport_frames_total{dir="in"}`:                  k + 1, // and the hello
 		`transport_bytes_total{dir="in"}`:                   float64(len(wire) + len(transport.AppendFrame(nil, hello.Encode()))),
-	} {
-		if got := series[key]; got != want {
-			t.Errorf("%s = %v, want %v", key, got, want)
-		}
-	}
+	})
 }
 
 // TestGateCountsAdvanceUnderSustainedFlood: a writer keeps the socket

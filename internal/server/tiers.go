@@ -21,8 +21,11 @@ import (
 // serve loop's one clock reading per socket read, at which it admits
 // every frame of the read; see bucket.go), so a flooding class
 // exhausts its own tokens and dies at the cheap gate without touching
-// another class's budget. The tier-isolation drill (TestGoldTierIsolation,
-// built under the drill tag and run in its own CI step) is the proof.
+// another class's budget. The serve loop resolves a connection's tier and
+// the tier's bucket once per socket read, at that reading (serveRead), so
+// a retune or a move to another tier reaches a connection at its next
+// read. The tier-isolation drill (TestGoldTierIsolation, built under the
+// drill tag and run in its own CI step) is the proof.
 //
 // Tier resolution order (PROTOCOL.md "Admission tiers"):
 //
@@ -124,8 +127,9 @@ func ParseTierSpecs(specs []string) ([]TierSpec, error) {
 
 // tier is one admission tier at runtime. The limit fields live behind mu
 // so the admin API can retune a live daemon; the serving path never takes
-// that mutex — it loads the bucket pointer atomically and the bucket
-// carries its own lock, which a refusal does not take.
+// that mutex — it loads the bucket pointer atomically once per socket
+// read, and the bucket carries its own lock, which a refusal does not
+// take.
 type tier struct {
 	name      string
 	class     uint8
@@ -138,20 +142,13 @@ type tier struct {
 	connRate  float64
 	connBurst float64
 
-	// bucket is the tier-wide shared budget; nil = unlimited, so an
-	// uncapped tier pays no mutex on the per-frame path.
+	// bucket is the tier-wide shared budget; nil = unlimited, so a read
+	// in an uncapped tier asks it nothing.
 	bucket atomic.Pointer[lockedBucket]
 
 	admitted *obs.Counter  // attestd_tier_admitted_total{tier=name}
 	limited  atomic.Uint64 // frames refused by this tier's shared bucket
 	devices  atomic.Int64  // devices currently resolved into this tier
-}
-
-// allow spends one token from the tier-wide budget at monotonic reading
-// now (always true for an uncapped tier).
-func (t *tier) allow(now time.Duration) bool {
-	lb := t.bucket.Load()
-	return lb == nil || lb.allow(now)
 }
 
 // connBucketAt builds a per-connection bucket with the tier's current
@@ -178,8 +175,9 @@ func (t *tier) limits() (rate, burst, connRate, connBurst float64) {
 
 // setLimits applies an admin override. Negative values keep the current
 // setting; a zero rate lifts the corresponding cap. The tier-wide bucket
-// is rebuilt (full at the new burst) so the new budget takes effect on
-// the next frame; per-conn changes reach only new connections.
+// is rebuilt (full at the new burst), and each of the tier's connections
+// admits against the new budget from its next socket read; per-conn
+// changes reach only new connections.
 func (t *tier) setLimits(rate, burst, connRate, connBurst float64) {
 	t.mu.Lock()
 	if rate >= 0 {

@@ -122,6 +122,7 @@ func TestTierBucketBoundaries(t *testing.T) {
 // under -race this is also the data-race proof for the shared gate.
 func TestTierSharedBucketConcurrent(t *testing.T) {
 	tr := testTier(t, TierSpec{Name: "t", RatePerSec: 1, Burst: 100})
+	lb := tr.bucket.Load()
 	const goroutines = 8
 	const perG = 500
 	var admitted int64
@@ -133,7 +134,7 @@ func TestTierSharedBucketConcurrent(t *testing.T) {
 			defer wg.Done()
 			local := int64(0)
 			for i := 0; i < perG; i++ {
-				if tr.allow(monoNow()) {
+				if lb.allow(monoNow()) {
 					local++
 				}
 			}
@@ -149,7 +150,7 @@ func TestTierSharedBucketConcurrent(t *testing.T) {
 		t.Fatalf("admitted %d frames from a burst-100 rate-1 tier bucket, want 100..110", admitted)
 	}
 	if got := tr.limited.Load(); got != 0 {
-		t.Fatalf("tier.limited = %d, want 0 (allow() does not count; the serving path does)", got)
+		t.Fatalf("tier.limited = %d, want 0 (the bucket does not count; the serving path does)", got)
 	}
 }
 
@@ -310,9 +311,14 @@ func TestTierResolve(t *testing.T) {
 func TestTierSetLimits(t *testing.T) {
 	tr := testTier(t, TierSpec{Name: "t", RatePerSec: 100, Burst: 2})
 	// One reading for the whole walk: no bucket refills on it, so each
-	// decision depends only on the bucket the override left in place.
+	// decision depends only on the bucket the override left in place. Each
+	// frame is a read of its own, which loads the tier's current bucket.
 	now := monoNow()
-	if !tr.allow(now) || !tr.allow(now) {
+	allow := func() bool {
+		c := chain{now: now, tier: tr.bucket.Load()}
+		return c.refusal() == causeNone
+	}
+	if !allow() || !allow() {
 		t.Fatal("burst-2 tier refused its burst")
 	}
 
@@ -322,7 +328,7 @@ func TestTierSetLimits(t *testing.T) {
 	if rate != 100 || burst != 2 || connRate != 0 || connBurst != 0 {
 		t.Fatalf("keep-all override changed limits to %v/%v/%v/%v", rate, burst, connRate, connBurst)
 	}
-	if !tr.allow(now) || !tr.allow(now) || tr.allow(now) {
+	if !allow() || !allow() || allow() {
 		t.Fatal("rebuilt bucket is not full at the configured burst")
 	}
 
@@ -332,7 +338,7 @@ func TestTierSetLimits(t *testing.T) {
 		t.Fatal("zero-rate override left a tier-wide bucket in place")
 	}
 	for i := 0; i < 1000; i++ {
-		if !tr.allow(now) {
+		if !allow() {
 			t.Fatal("uncapped tier refused a frame")
 		}
 	}
