@@ -18,11 +18,12 @@ test:
 	$(GO) test ./...
 
 # Race detector over the concurrent campaign-runner stack, the verifier's
-# pending store, the networked transport/daemon/agent stack and the socket
-# relay impersonator.
+# pending store, the metrics registry (concurrent scrapes share its pooled
+# buffer and series order), the networked transport/daemon/agent stack
+# and the socket relay impersonator.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/core/... \
-		./internal/protocol/... ./internal/transport/... ./internal/server/... \
+		./internal/protocol/... ./internal/obs/... ./internal/transport/... ./internal/server/... \
 		./internal/agent/... ./internal/faultnet/... ./internal/cluster/... \
 		./internal/journal/... ./internal/admin/... ./internal/adversary/...
 

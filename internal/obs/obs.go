@@ -12,9 +12,10 @@
 // counts for counters) and publishes the tally to the shared series with
 // one atomic add per touched series when its input runs dry; recording
 // straight into a series is an atomic add, for paths that run once per
-// round rather than once per frame. All allocation and formatting happens
-// at registration time (startup) or exposition time (a scrape, off the
-// hot path).
+// round rather than once per frame. All allocation happens at
+// registration time (startup): a scrape, off the hot path, formats into a
+// buffer reused across scrapes and allocates nothing once the registry
+// has been scraped.
 //
 // Series identity (name plus rendered label pairs) is fixed at
 // registration: a labelled family like rejects{cause=...} is N separate
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -235,6 +237,7 @@ type series struct {
 	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
+	le      []string // a histogram's rendered bucket labels, `le="+Inf"` last
 }
 
 // Registry holds the registered series. Registration may allocate and
@@ -243,8 +246,22 @@ type series struct {
 // record as no-ops — callers can instrument unconditionally and let the
 // deployment decide whether a registry exists.
 type Registry struct {
-	mu     sync.Mutex
-	series []*series
+	mu sync.Mutex
+	// order holds every series in exposition order: by family name, and
+	// in registration order within a family. Registration inserts into
+	// it, so a scrape never sorts.
+	order []*series
+	// free holds the expositions of finished scrapes, for the next ones
+	// to reuse: one per scrape that ever ran concurrently with another.
+	free []*exposition
+}
+
+// exposition is one scrape's working state: a snapshot of the series
+// order, taken so that no lock is held while gauge funcs run or the
+// writer blocks, and the text buffer.
+type exposition struct {
+	order []*series
+	buf   []byte
 }
 
 // New builds an empty registry.
@@ -278,15 +295,18 @@ func renderLabels(labels []Label) string {
 	return sb.String()
 }
 
+// register inserts s after the last series of its family, or where its
+// family sorts among the others.
 func (r *Registry) register(s *series) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, have := range r.series {
-		if have.name == s.name && have.labels == s.labels {
+	at := sort.Search(len(r.order), func(i int) bool { return r.order[i].name > s.name })
+	for i := at - 1; i >= 0 && r.order[i].name == s.name; i-- {
+		if r.order[i].labels == s.labels {
 			panic(fmt.Sprintf("obs: duplicate series %s{%s}", s.name, s.labels))
 		}
 	}
-	r.series = append(r.series, s)
+	r.order = slices.Insert(r.order, at, s)
 }
 
 // Counter registers and returns a counter series. Returns nil (a no-op
@@ -344,7 +364,12 @@ func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels 
 			panic(fmt.Sprintf("obs: histogram %s buckets not strictly ascending", name))
 		}
 	}
-	r.register(&series{name: name, help: help, kind: kindHistogram, labels: renderLabels(labels), hist: h})
+	le := make([]string, 0, len(h.counts))
+	for _, bound := range h.bounds {
+		le = append(le, `le="`+strconv.FormatFloat(seconds(bound), 'g', -1, 64)+`"`)
+	}
+	le = append(le, `le="+Inf"`)
+	r.register(&series{name: name, help: help, kind: kindHistogram, labels: renderLabels(labels), hist: h, le: le})
 	return h
 }
 
@@ -360,82 +385,97 @@ func (k metricKind) typeString() string {
 	}
 }
 
-func formatSeconds(ns int64) string {
-	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
-}
+// seconds converts ns to the exposition's unit.
+func seconds(ns int64) float64 { return float64(ns) / 1e9 }
 
 // WritePrometheus writes the registry in Prometheus text exposition
 // format (version 0.0.4). Families are emitted in sorted name order with
 // one HELP/TYPE header each; label variants keep registration order
 // within a family. Histograms expose cumulative _bucket series plus _sum
-// (seconds) and _count.
+// (seconds) and _count. The text is rendered into a buffer reused across
+// scrapes, so a scrape allocates nothing once the buffer has grown to
+// the registry's size.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	byName := make(map[string][]*series, len(r.series))
-	names := make([]string, 0, len(r.series))
-	for _, s := range r.series {
-		if _, ok := byName[s.name]; !ok {
-			names = append(names, s.name)
-		}
-		byName[s.name] = append(byName[s.name], s)
+	var x *exposition
+	if n := len(r.free); n > 0 {
+		x, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		x = new(exposition)
 	}
+	x.order = append(x.order[:0], r.order...)
 	r.mu.Unlock()
-	sort.Strings(names)
 
-	var sb strings.Builder
-	for _, name := range names {
-		family := byName[name]
-		fmt.Fprintf(&sb, "# HELP %s %s\n", name, family[0].help)
-		fmt.Fprintf(&sb, "# TYPE %s %s\n", name, family[0].kind.typeString())
-		for _, s := range family {
-			switch s.kind {
-			case kindCounter:
-				writeSample(&sb, s.name, s.labels, "", strconv.FormatUint(s.counter.Load(), 10))
-			case kindGauge:
-				writeSample(&sb, s.name, s.labels, "", strconv.FormatInt(s.gauge.Load(), 10))
-			case kindGaugeFunc:
-				writeSample(&sb, s.name, s.labels, "", strconv.FormatFloat(s.gaugeFn(), 'g', -1, 64))
-			case kindHistogram:
-				h := s.hist
-				var cum uint64
-				for i, bound := range h.bounds {
-					cum += h.counts[i].Load()
-					writeSample(&sb, s.name+"_bucket", s.labels, `le="`+formatSeconds(bound)+`"`, strconv.FormatUint(cum, 10))
-				}
-				cum += h.counts[len(h.bounds)].Load()
-				writeSample(&sb, s.name+"_bucket", s.labels, `le="+Inf"`, strconv.FormatUint(cum, 10))
-				writeSample(&sb, s.name+"_sum", s.labels, "", formatSeconds(h.sum.Load()))
-				// _count must equal the +Inf bucket by definition. Reading
-				// h.count here instead would race a concurrent Observe (which
-				// bumps the bucket and the count as two separate atomics) and
-				// let a scrape see _count != +Inf.
-				writeSample(&sb, s.name+"_count", s.labels, "", strconv.FormatUint(cum, 10))
-			}
+	b := x.buf[:0]
+	for i, s := range x.order {
+		if i == 0 || s.name != x.order[i-1].name {
+			b = append(b, "# HELP "...)
+			b = append(b, s.name...)
+			b = append(b, ' ')
+			b = append(b, s.help...)
+			b = append(b, "\n# TYPE "...)
+			b = append(b, s.name...)
+			b = append(b, ' ')
+			b = append(b, s.kind.typeString()...)
+			b = append(b, '\n')
 		}
+		switch s.kind {
+		case kindCounter:
+			b = appendSample(b, s.name, "", s.labels, "")
+			b = strconv.AppendUint(b, s.counter.Load(), 10)
+		case kindGauge:
+			b = appendSample(b, s.name, "", s.labels, "")
+			b = strconv.AppendInt(b, s.gauge.Load(), 10)
+		case kindGaugeFunc:
+			b = appendSample(b, s.name, "", s.labels, "")
+			b = strconv.AppendFloat(b, s.gaugeFn(), 'g', -1, 64)
+		case kindHistogram:
+			h := s.hist
+			var cum uint64
+			for i, le := range s.le {
+				cum += h.counts[i].Load()
+				b = appendSample(b, s.name, "_bucket", s.labels, le)
+				b = strconv.AppendUint(b, cum, 10)
+				b = append(b, '\n')
+			}
+			b = appendSample(b, s.name, "_sum", s.labels, "")
+			b = strconv.AppendFloat(b, seconds(h.sum.Load()), 'g', -1, 64)
+			b = append(b, '\n')
+			// _count must equal the +Inf bucket by definition. Reading
+			// h.count here instead would race a concurrent Observe (which
+			// bumps the bucket and the count as two separate atomics) and
+			// let a scrape see _count != +Inf.
+			b = appendSample(b, s.name, "_count", s.labels, "")
+			b = strconv.AppendUint(b, cum, 10)
+		}
+		b = append(b, '\n')
 	}
-	_, err := io.WriteString(w, sb.String())
+	x.buf = b
+	_, err := w.Write(b)
+	r.mu.Lock()
+	r.free = append(r.free, x)
+	r.mu.Unlock()
 	return err
 }
 
-// writeSample emits one `name{labels,extra} value` line; both label parts
-// may be empty.
-func writeSample(sb *strings.Builder, name, labels, extra, value string) {
-	sb.WriteString(name)
+// appendSample appends a sample line up to its value:
+// `name+suffix{labels,extra} `. Both label parts may be empty.
+func appendSample(b []byte, name, suffix, labels, extra string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
 	if labels != "" || extra != "" {
-		sb.WriteByte('{')
-		sb.WriteString(labels)
+		b = append(b, '{')
+		b = append(b, labels...)
 		if labels != "" && extra != "" {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(extra)
-		sb.WriteByte('}')
+		b = append(b, extra...)
+		b = append(b, '}')
 	}
-	sb.WriteByte(' ')
-	sb.WriteString(value)
-	sb.WriteByte('\n')
+	return append(b, ' ')
 }
 
 // Handler serves the registry as a Prometheus scrape endpoint. Mount it

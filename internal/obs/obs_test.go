@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +104,176 @@ func TestExpositionFormat(t *testing.T) {
 	// One HELP/TYPE header per family, not per label variant.
 	if n := strings.Count(out, "# TYPE rejects_total"); n != 1 {
 		t.Errorf("rejects_total TYPE header emitted %d times, want 1", n)
+	}
+}
+
+// everyKind builds a registry with every series kind, labelled and
+// unlabelled series, a family registered in two parts and histograms on
+// custom and default buckets, registered out of name order.
+func everyKind() *Registry {
+	r := New()
+	r.Gauge("zeta_inflight", "outstanding requests").Set(-2)
+	r.Counter("rejects_total", "rejects by cause", L("cause", "malformed")).Add(3)
+	in := r.Histogram("lat_seconds", "round trip", []time.Duration{500 * time.Nanosecond, time.Millisecond, 2500 * time.Millisecond}, L("dir", "in"))
+	r.GaugeFunc("devices", "known devices", func() float64 { return 0.25 })
+	r.Counter("rejects_total", "rejects by cause", L("cause", `say "no"`), L("tier", "bulk")).Add(5)
+	out := r.Histogram("lat_seconds", "round trip", nil, L("dir", "out"))
+	r.Counter("accepted_total", "accepted rounds")
+	r.GaugeFunc("big", "a large value", func() float64 { return 1e21 })
+	gate := r.Histogram("gate_seconds", "gate time", []time.Duration{2 * time.Microsecond, 10 * time.Second})
+	for _, d := range []time.Duration{0, 500 * time.Nanosecond, 700 * time.Microsecond, 3 * time.Second} {
+		in.Observe(d)
+	}
+	out.Observe(42 * time.Millisecond)
+	gate.Observe(1500 * time.Nanosecond)
+	gate.Observe(time.Minute)
+	return r
+}
+
+// everyKindText is everyKind's exposition, byte for byte: the text a
+// writer that grouped the series in a map and sorted the family names on
+// every scrape rendered, which the cached order must reproduce.
+const everyKindText = `# HELP accepted_total accepted rounds
+# TYPE accepted_total counter
+accepted_total 0
+# HELP big a large value
+# TYPE big gauge
+big 1e+21
+# HELP devices known devices
+# TYPE devices gauge
+devices 0.25
+# HELP gate_seconds gate time
+# TYPE gate_seconds histogram
+gate_seconds_bucket{le="2e-06"} 1
+gate_seconds_bucket{le="10"} 1
+gate_seconds_bucket{le="+Inf"} 2
+gate_seconds_sum 60.0000015
+gate_seconds_count 2
+# HELP lat_seconds round trip
+# TYPE lat_seconds histogram
+lat_seconds_bucket{dir="in",le="5e-07"} 2
+lat_seconds_bucket{dir="in",le="0.001"} 3
+lat_seconds_bucket{dir="in",le="2.5"} 3
+lat_seconds_bucket{dir="in",le="+Inf"} 4
+lat_seconds_sum{dir="in"} 3.0007005
+lat_seconds_count{dir="in"} 4
+lat_seconds_bucket{dir="out",le="5e-07"} 0
+lat_seconds_bucket{dir="out",le="2e-06"} 0
+lat_seconds_bucket{dir="out",le="1e-05"} 0
+lat_seconds_bucket{dir="out",le="5e-05"} 0
+lat_seconds_bucket{dir="out",le="0.00025"} 0
+lat_seconds_bucket{dir="out",le="0.001"} 0
+lat_seconds_bucket{dir="out",le="0.005"} 0
+lat_seconds_bucket{dir="out",le="0.025"} 0
+lat_seconds_bucket{dir="out",le="0.1"} 1
+lat_seconds_bucket{dir="out",le="0.5"} 1
+lat_seconds_bucket{dir="out",le="2.5"} 1
+lat_seconds_bucket{dir="out",le="10"} 1
+lat_seconds_bucket{dir="out",le="+Inf"} 1
+lat_seconds_sum{dir="out"} 0.042
+lat_seconds_count{dir="out"} 1
+# HELP rejects_total rejects by cause
+# TYPE rejects_total counter
+rejects_total{cause="malformed"} 3
+rejects_total{cause="say \"no\"",tier="bulk"} 5
+# HELP zeta_inflight outstanding requests
+# TYPE zeta_inflight gauge
+zeta_inflight -2
+`
+
+// TestExpositionBytes: the exposition of a registry with every kind is
+// byte for byte the reference text, on the first scrape and on a later
+// one that reuses the pooled buffer.
+func TestExpositionBytes(t *testing.T) {
+	r := everyKind()
+	for scrape := 0; scrape < 2; scrape++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != everyKindText {
+			t.Fatalf("scrape %d:\n%s\nwant:\n%s", scrape, sb.String(), everyKindText)
+		}
+	}
+}
+
+// TestExpositionZeroAllocs: once a registry has been scraped, a scrape
+// renders into the pooled buffer and allocates nothing.
+func TestExpositionZeroAllocs(t *testing.T) {
+	r := everyKind()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WritePrometheus: %v allocs/op, want 0", n)
+	}
+}
+
+// TestConcurrentScrapes: scrapes running at once each render into their
+// own buffer, and a series registered meanwhile never tears one. The
+// late series sort after everyKind's, so every scrape starts with
+// everyKindText. The ci.yml race step runs it.
+func TestConcurrentScrapes(t *testing.T) {
+	r := everyKind()
+	const scrapers, scrapes = 4, 50
+	errs := make(chan error, scrapers)
+	for g := 0; g < scrapers; g++ {
+		go func() {
+			for i := 0; i < scrapes; i++ {
+				var sb strings.Builder
+				if err := r.WritePrometheus(&sb); err != nil {
+					errs <- err
+					return
+				}
+				if !strings.HasPrefix(sb.String(), everyKindText) {
+					errs <- fmt.Errorf("a concurrent scrape read:\n%s", sb.String())
+					return
+				}
+				if _, err := ParseText(strings.NewReader(sb.String())); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < scrapes; i++ {
+		r.Counter("zz_late_total", "registered during scrapes", L("i", strconv.Itoa(i))).Inc()
+	}
+	for g := 0; g < scrapers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSeriesRegisteredAfterScrape: a series registered after a scrape
+// appears in the next scrape, in its family's sorted place, and a new
+// member of an existing family follows the family's earlier members.
+func TestSeriesRegisteredAfterScrape(t *testing.T) {
+	r := New()
+	r.Counter("b_total", "b", L("k", "1")).Add(1)
+	r.Gauge("d", "d").Set(4)
+	if err := r.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	r.Gauge("c", "c").Set(3)
+	r.Counter("b_total", "b", L("k", "0")).Add(2)
+	r.Gauge("a", "a").Set(1)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var samples []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			samples = append(samples, line)
+		}
+	}
+	want := []string{"a 1", `b_total{k="1"} 1`, `b_total{k="0"} 2`, "c 3", "d 4"}
+	if strings.Join(samples, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("samples after late registration:\n%s\nwant:\n%s", strings.Join(samples, "\n"), strings.Join(want, "\n"))
 	}
 }
 

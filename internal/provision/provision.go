@@ -12,12 +12,23 @@ import "proverattest/internal/crypto/ecc"
 // (mcu.RAMRegion.Size; a core test pins the two equal).
 const RAMSize = 512 * 1024
 
+// goldenPeriod is the period of the golden image: byte i is
+// byte(i*31 + 5), which depends only on i mod 256.
+const goldenPeriod = 256
+
 // GoldenRAM returns the deterministic RAM fill every simulated prover
-// boots with: the golden image the verifier measures against.
+// boots with: the golden image the verifier measures against. Byte i is
+// byte(i*31 + 5). It writes one period and doubles the filled prefix with
+// copy until the image is full, so building it costs about the page
+// faults of a fresh 512 KiB slice rather than a loop over every byte.
+// Each call returns a new slice the caller owns.
 func GoldenRAM() []byte {
 	ram := make([]byte, RAMSize)
-	for i := range ram {
+	for i := range goldenPeriod {
 		ram[i] = byte(i*31 + 5)
+	}
+	for n := goldenPeriod; n < len(ram); n *= 2 {
+		copy(ram[n:], ram[:n])
 	}
 	return ram
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -214,24 +215,21 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 }
 
-// TestMetricsSmokeFamiliesDocumented keeps PROTOCOL.md's series inventory
-// from drifting. It scrapes a daemon built over a PersistentStore, so the
-// journal family registers too, and an agent, and fails for every family
-// a "# TYPE" line declares that the "Observability" section names neither
-// literally nor under a `prefix_*` family it lists. Its name puts it in
-// `make metrics-smoke`.
-func TestMetricsSmokeFamiliesDocumented(t *testing.T) {
-	doc, err := os.ReadFile("../../PROTOCOL.md")
+// observabilityNames reads the "Observability" section of the Markdown
+// file at path and returns the names its code spans give, and the
+// prefixes of the `prefix_*` families they list.
+func observabilityNames(t *testing.T, path string) (named map[string]bool, prefixes []string) {
+	t.Helper()
+	doc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, section, ok := strings.Cut(string(doc), "\n## Observability")
 	if !ok {
-		t.Fatal(`PROTOCOL.md has no "Observability" section`)
+		t.Fatalf(`%s has no "Observability" section`, path)
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
-	named := make(map[string]bool)
-	var prefixes []string
+	named = make(map[string]bool)
 	for _, span := range regexp.MustCompile("`[^`]+`").FindAllString(section, -1) {
 		for _, name := range regexp.MustCompile(`[a-z][a-z0-9_]*\*?`).FindAllString(span, -1) {
 			if prefix, ok := strings.CutSuffix(name, "*"); ok {
@@ -241,14 +239,20 @@ func TestMetricsSmokeFamiliesDocumented(t *testing.T) {
 			}
 		}
 	}
-	documented := func(family string) bool {
-		for _, prefix := range prefixes {
-			if strings.HasPrefix(family, prefix) {
-				return true
-			}
-		}
-		return named[family]
-	}
+	return named, prefixes
+}
+
+// TestMetricsSmokeFamiliesDocumented keeps the series inventories of
+// PROTOCOL.md and README.md from drifting. It scrapes a daemon built over
+// a PersistentStore, so the journal family registers too, and an agent,
+// and fails for every family a "# TYPE" line declares that either file's
+// "Observability" section does not name. PROTOCOL.md may name a family
+// under a `prefix_*` family it lists; README.md's tables name every
+// family in full, so the `prefix_*` families its prose mentions do not
+// stand in for a row. Its name puts it in `make metrics-smoke`.
+func TestMetricsSmokeFamiliesDocumented(t *testing.T) {
+	protoNamed, protoPrefixes := observabilityNames(t, "../../PROTOCOL.md")
+	readmeNamed, _ := observabilityNames(t, "../../README.md")
 
 	daemon := obs.New()
 	testServer(t, func(c *Config) {
@@ -283,8 +287,12 @@ func TestMetricsSmokeFamiliesDocumented(t *testing.T) {
 			t.Fatalf("%s's scrape declares no %s family", exp.binary, exp.must)
 		}
 		for family := range families {
-			if !documented(family) {
+			underPrefix := slices.ContainsFunc(protoPrefixes, func(p string) bool { return strings.HasPrefix(family, p) })
+			if !protoNamed[family] && !underPrefix {
 				t.Errorf("%s exposes %s, which PROTOCOL.md's Observability section does not name", exp.binary, family)
+			}
+			if !readmeNamed[family] {
+				t.Errorf("%s exposes %s, which README.md's Observability section does not name", exp.binary, family)
 			}
 		}
 	}

@@ -16,7 +16,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -45,8 +44,10 @@ type Config struct {
 	// (protocol.DeriveDeviceKey); required.
 	MasterSecret []byte
 	// Golden is the expected measured-memory image shared by the fleet
-	// (provision.GoldenRAM for simulated agents); required. New keeps one
-	// copy, which every device's verifier shares.
+	// (provision.GoldenRAM for simulated agents); required. New keeps the
+	// slice, which every device's verifier shares and only reads; the
+	// caller must not write to it afterwards (the contract of
+	// protocol.VerifierConfig.Golden).
 	Golden []byte
 	// ECDSAKey signs requests when Auth == AuthECDSA.
 	ECDSAKey *ecc.PrivateKey
@@ -444,7 +445,6 @@ func New(cfg Config) (*Server, error) {
 			cfg.PerConnBurst = int(cfg.PerConnRatePerSec)
 		}
 	}
-	cfg.Golden = bytes.Clone(cfg.Golden)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.New()

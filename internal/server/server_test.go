@@ -97,6 +97,45 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewKeepsGoldenBackingArray: New keeps the caller's image, which
+// every device's verifier then shares, instead of a copy of it.
+func TestNewKeepsGoldenBackingArray(t *testing.T) {
+	golden := core.GoldenRAMPattern()
+	s := testServer(t, func(c *Config) { c.Golden = golden })
+	if len(s.cfg.Golden) != len(golden) || &s.cfg.Golden[0] != &golden[0] {
+		t.Fatal("New copied Config.Golden instead of keeping the caller's slice")
+	}
+}
+
+// TestNewAllocatesLessThanGolden: building the daemon allocates fewer
+// bytes than the 512 KiB image, which a copy of it alone would take. The
+// least of a few builds is taken, so that another goroutine's allocation
+// inside one build's window cannot fail the test.
+func TestNewAllocatesLessThanGolden(t *testing.T) {
+	golden := core.GoldenRAMPattern()
+	least := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := New(Config{
+			Freshness:    protocol.FreshCounter,
+			Auth:         protocol.AuthHMACSHA1,
+			MasterSecret: testMaster,
+			Golden:       golden,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= uint64(len(golden)) {
+		t.Fatalf("New allocated %d bytes, not fewer than the %d-byte image", least, len(golden))
+	}
+	t.Logf("New allocated %d bytes", least)
+}
+
 // TestHonestRoundsOverTCP runs the daemon and several concurrent agents
 // over real TCP on localhost and waits for accepted measurements from each.
 func TestHonestRoundsOverTCP(t *testing.T) {
